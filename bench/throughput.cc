@@ -249,6 +249,8 @@ int main() {
   if (const char* env = std::getenv("AMBER_BENCH_FAULT_RATE")) {
     fault_rates.clear();  // empty string disables the sweep
     for (std::string_view piece : StrSplit(env, ',')) {
+      // Skip empty pieces: "" disables the sweep, "1,,10" has two rates.
+      if (TrimWhitespace(piece).empty()) continue;
       const int v = std::atoi(std::string(piece).c_str());
       if (v >= 0 && v <= 100) fault_rates.push_back(v);
     }

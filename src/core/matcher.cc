@@ -20,6 +20,14 @@ namespace {
 constexpr uint32_t kProbeSkewFactor = 8;
 constexpr uint32_t kProbeMinBound = 64;
 
+// CandInit seeding cutover. When the initial vertex's local candidates
+// (attributes, IRI anchors, pushed FILTER scans) number at most
+// |V| / kLocalFirstFactor, each is checked against the query synopsis
+// directly instead of asking the R-tree for every dominating vertex and
+// intersecting: the R-tree answer is typically thousands of ids while an
+// IRI-anchored list is tens.
+constexpr uint64_t kLocalFirstFactor = 16;
+
 template <typename T>
 uint64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<uint64_t>(v.capacity()) * sizeof(T);
@@ -289,6 +297,10 @@ void Matcher::RefineByVertex(uint32_t u, std::vector<VertexId>* cand) {
   if (local != nullptr) {
     IntersectInPlace(cand, std::span<const VertexId>(*local), &s_->icounters);
   }
+  VertexChecks(u, cand);
+}
+
+void Matcher::VertexChecks(uint32_t u, std::vector<VertexId>* cand) {
   const QueryVertex& qv = q_.vertices()[u];
   if (!qv.self_types.empty()) {
     std::erase_if(*cand, [&](VertexId v) {
@@ -313,6 +325,19 @@ std::vector<VertexId> Matcher::InitialCandidates(uint32_t uinit) {
   const Synopsis syn = q_.VertexSynopsis(uinit);
   std::vector<VertexId> cand;
   if (options_.use_signature_index) {
+    const std::vector<VertexId>* local = CachedLocalCandidates(uinit);
+    if (pending_ != InterruptKind::kNone) return cand;
+    if (local != nullptr &&
+        local->size() * kLocalFirstFactor <= g_.NumVertices()) {
+      // Same dominance predicate as the R-tree, applied to a list that is
+      // already sorted: the result equals C^S_u ∩ local, in order.
+      cand.reserve(local->size());
+      for (VertexId v : *local) {
+        if (indexes_.signature.Of(v).Dominates(syn)) cand.push_back(v);
+      }
+      VertexChecks(uinit, &cand);
+      return cand;
+    }
     cand = indexes_.signature.Candidates(syn);  // QuerySynIndex via R-tree
   } else {
     // Ablation B: same complete filter, evaluated by a full scan. The scan

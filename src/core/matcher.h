@@ -238,7 +238,11 @@ class Matcher {
  private:
   enum class Flow { kContinue, kStop, kTimeout, kCancelled };
 
-  /// CandInit for an arbitrary component's initial vertex.
+  /// CandInit for an arbitrary component's initial vertex: the signature
+  /// dominance filter (Lemma 1) intersected with the local candidates.
+  /// Seeds from whichever side is small — a short local list is filtered
+  /// by synopsis directly, otherwise the R-tree answer is intersected
+  /// with it; both give the same sorted list.
   std::vector<VertexId> InitialCandidates(uint32_t uinit);
 
   /// InitialCandidates(ci's initial vertex), cached per component: it does
@@ -276,10 +280,14 @@ class Matcher {
     return s_->preds_pushed[u][i] != 0;
   }
 
-  /// Intersects `cand` (in place) with CachedLocalCandidates(u), filters
-  /// self-loop constraints, and evaluates residual FILTER predicates
-  /// (satellite vertices; every vertex in post-filter mode).
+  /// Intersects `cand` (in place) with CachedLocalCandidates(u), then
+  /// applies VertexChecks.
   void RefineByVertex(uint32_t u, std::vector<VertexId>* cand);
+
+  /// Filters `cand` (in place) by u's self-loop constraints and residual
+  /// FILTER predicates (satellite vertices; every vertex in post-filter
+  /// mode) — the part of RefineByVertex that reads no candidate list.
+  void VertexChecks(uint32_t u, std::vector<VertexId>* cand);
 
   /// Candidates for `u` that respect the multi-edge of query edge `e`
   /// towards the already-matched data vertex `vn` (one index N walk).

@@ -498,6 +498,14 @@ Result<ParallelRunResult> RunMatcherParallel(
         control.bag_multiplicity = !distinct;
         StreamChunkSink sink(&*streamer, c, distinct, cap);
         status = matcher.Run(&sink, &worker_stats[wi], control);
+        // A chunk cut short (error, timeout, cancellation) stops the
+        // stream BEFORE it is marked done, as on the fault path above:
+        // otherwise the head would advance past the partial chunk and
+        // emit a later chunk's buffered rows after it.
+        if (!status.ok() || worker_stats[wi].timed_out ||
+            worker_stats[wi].cancelled) {
+          streamer->Abort();
+        }
         streamer->FinishChunk(c);
       } else if (factorizing) {
         // Factorized mode: collect raw groups chunk-locally. The chunk

@@ -164,7 +164,9 @@ void NeighborhoodIndex::SupersetNeighbors(VertexId v, Direction d,
     // Every neighbour on this side: the vertex's whole inverted-list range.
     out->insert(out->end(), dir.pool.begin() + dir.pool_offsets[v],
                 dir.pool.begin() + dir.pool_offsets[v + 1]);
-    std::sort(out->begin() + out_start, out->end());
+    if (dir.node_offsets[v + 1] - dir.node_offsets[v] > 1) {
+      std::sort(out->begin() + out_start, out->end());
+    }
     return;
   }
 
@@ -172,7 +174,11 @@ void NeighborhoodIndex::SupersetNeighbors(VertexId v, Direction d,
   const uint32_t end = static_cast<uint32_t>(dir.node_offsets[v + 1]);
 
   // Iterative DFS over (node, matched query prefix length). Sibling walks
-  // stop early once a label exceeds the next unmatched query type.
+  // stop early once a label exceeds the next unmatched query type. Each
+  // node's own inverted list is sorted by construction, so the appended
+  // range needs a sort only when it spans more than one node's list.
+  bool needs_sort = false;
+  bool accepted = false;
   Scratch local;
   std::vector<Scratch::Frame>& stack =
       (scratch != nullptr ? scratch->frames : local.frames);
@@ -198,13 +204,15 @@ void NeighborhoodIndex::SupersetNeighbors(VertexId v, Direction d,
         const Node& last = dir.nodes[node.subtree_end - 1];
         out->insert(out->end(), dir.pool.begin() + node.list_begin,
                     dir.pool.begin() + last.list_end);
+        needs_sort |= accepted || node.subtree_end > n + 1;
+        accepted = true;
       } else if (node.subtree_end > n + 1) {
         stack.push_back(Scratch::Frame{n + 1, node.subtree_end, qn});
       }
       n = node.subtree_end;
     }
   }
-  std::sort(out->begin() + out_start, out->end());
+  if (needs_sort) std::sort(out->begin() + out_start, out->end());
 }
 
 bool NeighborhoodIndex::Contains(VertexId v, Direction d,

@@ -1,6 +1,7 @@
 #include "index/rtree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 
@@ -23,6 +24,39 @@ struct RTreeMetaPod {
   uint32_t root;
   uint32_t reserved;
 };
+
+// Sorts (*out)[out_start..] ascending: std::sort, or the bitmap walk for
+// large answers (SynopsisRTree::UseSortedBitmap).
+void SortAppended(std::vector<uint32_t>* out, size_t out_start,
+                  size_t num_points) {
+  const size_t count = out->size() - out_start;
+  if (!SynopsisRTree::UseSortedBitmap(count, num_points)) {
+    std::sort(out->begin() + out_start, out->end());
+    return;
+  }
+  // Ids are point ids below num_points (Load/LoadAmf check it): set one bit
+  // per id, then rewrite the appended range in place by walking the words
+  // between the lowest and highest id set.
+  std::vector<uint64_t> bits((num_points + 63) / 64, 0);
+  size_t lo_word = bits.size();
+  size_t hi_word = 0;
+  for (size_t i = out_start; i < out->size(); ++i) {
+    const uint32_t id = (*out)[i];
+    const size_t w = id >> 6;
+    bits[w] |= uint64_t{1} << (id & 63);
+    lo_word = std::min(lo_word, w);
+    hi_word = std::max(hi_word, w);
+  }
+  uint32_t* dst = out->data() + out_start;
+  for (size_t w = lo_word; w <= hi_word; ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      *dst++ = static_cast<uint32_t>(w * 64 + std::countr_zero(word));
+    }
+  }
+  // A forged artifact may list an id twice; the bitmap collapses it.
+  out->resize(static_cast<size_t>(dst - out->data()));
+}
+
 }  // namespace
 
 struct SynopsisRTree::Bulk {
@@ -155,7 +189,7 @@ void SynopsisRTree::QueryDominating(const Synopsis& q,
       stack.push_back(child_pool_[node.children_begin + c]);
     }
   }
-  std::sort(out->begin() + out_start, out->end());
+  SortAppended(out, out_start, points_.size());
 }
 
 void SynopsisRTree::Save(std::ostream& os) const {
@@ -204,6 +238,12 @@ Status SynopsisRTree::Load(std::istream& is) {
   std::vector<uint32_t> child_pool;
   AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &entries));
   AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &child_pool));
+  // QueryDominating indexes points_ and its sort bitmap by entry ids.
+  for (uint32_t e : entries) {
+    if (e >= points.size()) {
+      return Status::Corruption("rtree entry out of range");
+    }
+  }
   points_ = std::move(points);
   nodes_ = std::move(nodes);
   entries_ = std::move(entries);

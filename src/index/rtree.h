@@ -50,8 +50,21 @@ class SynopsisRTree {
   }
 
   /// Appends to `*out` the ids of all points dominating `q`
-  /// (component-wise q.f[i] <= p.f[i]). Output is sorted ascending.
+  /// (component-wise q.f[i] <= p.f[i]). The appended range is sorted
+  /// ascending; elements already in `*out` are left as they are.
   void QueryDominating(const Synopsis& q, std::vector<uint32_t>* out) const;
+
+  /// Sorted-output cutover. The tree walk appends ids in subtree order; a
+  /// large answer is put in order through a NumPoints()-bit bitmap (one
+  /// bit set per id, then a word walk) instead of std::sort. The bitmap
+  /// wins once the answer is not tiny and fills at least one bit per
+  /// kBitmapMaxSparsity of the id space, so the word walk stays within a
+  /// constant of the answer size.
+  static constexpr size_t kBitmapMinIds = 256;
+  static constexpr size_t kBitmapMaxSparsity = 64;
+  static bool UseSortedBitmap(size_t count, size_t num_points) {
+    return count >= kBitmapMinIds && count * kBitmapMaxSparsity >= num_points;
+  }
 
   size_t NumPoints() const { return points_.size(); }
   size_t NumNodes() const { return nodes_.size(); }

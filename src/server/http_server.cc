@@ -167,8 +167,7 @@ class HttpServer::StreamSink : public PageSink {
   bool WriteChunk(std::string_view line) {
     if (write_failed_) return false;
     if (!FaultInjector::Global().Inject(faults::kServerWrite).ok()) {
-      write_failed_ = true;
-      return false;
+      return Fail();
     }
     std::string out;
     out.reserve(line.size() + 128);
@@ -189,10 +188,7 @@ class HttpServer::StreamSink : public PageSink {
     out += "\r\n";
     out += line;
     out += "\n\r\n";
-    if (!server_->WriteAll(fd_, out)) {
-      write_failed_ = true;
-      return false;
-    }
+    if (!server_->WriteAll(fd_, out)) return Fail();
     return true;
   }
 
@@ -200,6 +196,15 @@ class HttpServer::StreamSink : public PageSink {
   bool write_failed() const { return write_failed_; }
 
  private:
+  // Counts the abort as soon as the write fails, i.e. before the sink's
+  // false return stops the execution: once the service reports the
+  // request cancelled, aborted_responses already includes it.
+  bool Fail() {
+    write_failed_ = true;
+    server_->CountAbortedResponse();
+    return false;
+  }
+
   HttpServer* server_;
   int fd_;
   bool headers_sent_ = false;
@@ -424,10 +429,13 @@ void HttpServer::ServeConnection(uint64_t conn_id, int fd) {
     if (!ServeOneRequest(conn_id, fd, &rbuf)) break;
   }
   {
+    // Notify under the lock: once Stop() sees conns_ empty it may return
+    // and the destructor destroys conn_cv_, so this thread must be done
+    // with it before mu_ is released.
     std::lock_guard<std::mutex> lock(mu_);
     conns_.erase(conn_id);
+    conn_cv_.notify_all();
   }
-  conn_cv_.notify_all();
   // Erase-then-close: Stop() only ever shutdown()s fds still registered,
   // so a recycled descriptor number can never be hit by mistake.
   ::close(fd);
@@ -695,29 +703,21 @@ bool HttpServer::HandleQueryStream(uint64_t conn_id, int fd,
   if (!sr.ok()) {
     if (sink.headers_sent()) {
       // Mid-stream error after bytes already left: nothing clean to send.
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.aborted_responses;
+      if (!sink.write_failed()) CountAbortedResponse();
       return false;
     }
     return WriteResponse(fd, StatusCodeToHttp(sr.status().code()),
                          wire::SerializeError(sr.status()), keep_alive) &&
            keep_alive;
   }
-  if (sink.write_failed()) {
-    // The client went away (or server.write fired) mid-stream; the sink
-    // already tripped the execution via its false return.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
-    return false;
-  }
+  // The client went away (or server.write fired) mid-stream: the sink
+  // already tripped the execution via its false return and counted the
+  // abort.
+  if (sink.write_failed()) return false;
 
   const std::string summary =
       wire::SerializeStreamSummary(*sr, wr->include_stats);
-  if (!sink.WriteChunk(summary)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
-    return false;
-  }
+  if (!sink.WriteChunk(summary)) return false;  // counted by the sink
   if (!sr->complete) {
     // Cancelled / timed out: the summary line carries the flags, but the
     // chunked body stays unterminated — transports and clients both see
@@ -725,18 +725,21 @@ bool HttpServer::HandleQueryStream(uint64_t conn_id, int fd,
     return false;
   }
   if (!WriteAll(fd, "0\r\n\r\n")) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
+    CountAbortedResponse();
     return false;
   }
   return keep_alive;
 }
 
+void HttpServer::CountAbortedResponse() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.aborted_responses;
+}
+
 bool HttpServer::WriteResponse(int fd, int code, std::string_view body,
                                bool keep_alive) {
   if (!FaultInjector::Global().Inject(faults::kServerWrite).ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
+    CountAbortedResponse();
     return false;
   }
   std::string out;
@@ -751,8 +754,7 @@ bool HttpServer::WriteResponse(int fd, int code, std::string_view body,
                     : "\r\nConnection: close\r\n\r\n";
   out += body;
   if (!WriteAll(fd, out)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.aborted_responses;
+    CountAbortedResponse();
     return false;
   }
   return true;

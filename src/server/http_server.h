@@ -166,6 +166,9 @@ class HttpServer {
   bool WriteResponse(int fd, int code, std::string_view body,
                      bool keep_alive);
 
+  /// Bumps stats().aborted_responses (takes mu_).
+  void CountAbortedResponse();
+
   // Socket helpers (poll-sliced so Stop() interrupts promptly).
   bool ReadMore(int fd, std::string* buf,
                 std::chrono::steady_clock::time_point deadline);

@@ -14,6 +14,7 @@
 #include "baseline/triple_store.h"
 #include "core/amber_engine.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace amber {
 namespace {
@@ -163,6 +164,72 @@ TEST_F(AmberEngineStreamTest, SinkStopDeliversExactPrefix) {
       ASSERT_EQ(sink.rows().size(), stop_after);
       for (size_t i = 0; i < stop_after; ++i) {
         EXPECT_EQ(sink.rows()[i], ref->rows[i]) << "row " << i;
+      }
+    }
+  }
+}
+
+/// Keeps accepting rows but trips `cancel` once `trip_after` rows arrived —
+/// a consumer that cancels the request and drains what still comes (the
+/// serving layer's page sink behaves this way).
+class TrippingRowSink : public RowSink {
+ public:
+  TrippingRowSink(uint64_t trip_after, CancellationSource* cancel)
+      : trip_after_(trip_after), cancel_(cancel) {}
+
+  bool OnRow(std::span<const std::string> row) override {
+    rows_.emplace_back(row.begin(), row.end());
+    if (rows_.size() == trip_after_) cancel_->Cancel();
+    return true;
+  }
+
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
+
+ private:
+  uint64_t trip_after_;
+  CancellationSource* cancel_;
+  std::vector<std::vector<std::string>> rows_;
+};
+
+TEST(AmberEngineStreamCancelTest, TokenTripMidStreamDeliversExactPrefix) {
+  // A token tripped mid-stream cuts the running head chunk short. The
+  // stream must end there: a later chunk's buffered rows may never follow
+  // a partial chunk. A dense graph and an all-core 4-cycle give every
+  // chunk hundreds of rows and recursion steps, so the head chunk notices
+  // the token long before it could finish.
+  std::vector<Triple> data;
+  Rng rng(77);
+  for (int v = 0; v < 60; ++v) {
+    for (int e = 0; e < 20; ++e) {
+      data.emplace_back(Term::Iri("urn:v" + std::to_string(v)),
+                        Term::Iri("urn:p"),
+                        Term::Iri("urn:v" + std::to_string(rng.Uniform(60))));
+    }
+  }
+  AmberEngine engine = MustBuild(data);
+  const std::string text =
+      "SELECT ?a ?b ?c ?d WHERE { ?a <urn:p> ?b . ?b <urn:p> ?c . "
+      "?c <urn:p> ?d . ?d <urn:p> ?a . }";
+  auto ref = engine.MaterializeSparql(text, ExecOptions{});
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_GT(ref->rows.size(), 1000u);
+  for (int threads : {2, 4}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " rep=" + std::to_string(rep));
+      CancellationSource cancel;
+      ExecOptions options;
+      options.num_threads = threads;
+      options.stream_chunk_buffer_rows = 1 + rep % 8;
+      options.cancel = cancel.token();
+      TrippingRowSink sink(500 + 200 * rep, &cancel);
+      auto streamed = engine.StreamSparql(text, options, &sink);
+      ASSERT_TRUE(streamed.ok()) << streamed.status();
+      ASSERT_LT(sink.rows().size(), ref->rows.size());
+      EXPECT_TRUE(streamed->stats.cancelled);
+      for (size_t i = 0; i < sink.rows().size(); ++i) {
+        ASSERT_EQ(sink.rows()[i], ref->rows[i])
+            << "prefix diverged at row " << i;
       }
     }
   }

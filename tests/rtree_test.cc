@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "index/rtree.h"
 #include "util/random.h"
@@ -157,6 +159,28 @@ TEST(RTreeTest, SaveLoadRoundTrip) {
   }
 }
 
+TEST(RTreeTest, LoadRejectsEntryOutOfRange) {
+  // The dominance walk and its sort bitmap index by entry id, so a stream
+  // naming a point that does not exist must fail at Load.
+  Synopsis p;
+  p.f = {1, 1, 1, 1, 1, 1, 1, 1};
+  SynopsisRTree tree = SynopsisRTree::Build(std::vector<Synopsis>{p});
+  std::stringstream ss;
+  tree.Save(ss);
+  std::string bytes = ss.str();
+  // Tail of a one-leaf tree: entries {0} (u32), child pool count 0 (u64),
+  // root (u32).
+  const size_t entry_at = bytes.size() - 4 - 8 - 4;
+  uint32_t entry = 0;
+  std::memcpy(&entry, bytes.data() + entry_at, sizeof entry);
+  ASSERT_EQ(entry, 0u);
+  entry = 7;
+  std::memcpy(bytes.data() + entry_at, &entry, sizeof entry);
+  std::stringstream corrupt(bytes);
+  SynopsisRTree loaded;
+  EXPECT_FALSE(loaded.Load(corrupt).ok());
+}
+
 TEST(RTreeTest, CustomFanoutStillExact) {
   std::vector<Synopsis> pts = RandomPoints(31, 4000, 6);
   SynopsisRTree::Options opts;
@@ -173,6 +197,98 @@ TEST(RTreeTest, CustomFanoutStillExact) {
     tree.QueryDominating(q, &got);
     EXPECT_EQ(got, BruteForceDominating(pts, q));
   }
+}
+
+// Points whose f[0] is a random permutation of 0..n-1 (other fields 0):
+// the query f[0] >= n - k then has exactly k answers with ids scattered
+// over the whole id space, appended in subtree (not id) order.
+std::vector<Synopsis> PermutedPoints(uint64_t seed, size_t n) {
+  std::vector<int32_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<int32_t>(i);
+  Rng rng(seed);
+  for (size_t i = n; i > 1; --i) std::swap(perm[i - 1], perm[rng.Uniform(i)]);
+  std::vector<Synopsis> points(n);
+  for (size_t i = 0; i < n; ++i) points[i].f[0] = perm[i];
+  return points;
+}
+
+Synopsis TopK(size_t n, size_t k) {
+  Synopsis q;
+  q.f[0] = static_cast<int32_t>(n - k);
+  return q;
+}
+
+TEST(RTreeTest, SortedOutputAcrossBitmapCutover) {
+  // Both cutover conditions: the minimum answer size (dense id space) and
+  // the sparsity bound (large id space, answer above the minimum).
+  const size_t dense_n = 4096;
+  const size_t sparse_n =
+      SynopsisRTree::kBitmapMaxSparsity * (SynopsisRTree::kBitmapMinIds + 40);
+  const size_t min_ids = SynopsisRTree::kBitmapMinIds;
+  const size_t sparse_cut = sparse_n / SynopsisRTree::kBitmapMaxSparsity;
+  struct Case {
+    size_t n;
+    size_t k;
+    bool bitmap;
+  };
+  const Case cases[] = {
+      {dense_n, min_ids - 1, false},     {dense_n, min_ids, true},
+      {dense_n, min_ids + 1, true},      {dense_n, dense_n, true},
+      {sparse_n, sparse_cut - 1, false}, {sparse_n, sparse_cut, true},
+      {sparse_n, sparse_cut + 1, true},  {dense_n, 1, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " k=" + std::to_string(c.k));
+    ASSERT_EQ(SynopsisRTree::UseSortedBitmap(c.k, c.n), c.bitmap);
+    std::vector<Synopsis> pts = PermutedPoints(c.n + c.k, c.n);
+    SynopsisRTree tree = SynopsisRTree::Build(pts);
+    const Synopsis q = TopK(c.n, c.k);
+    std::vector<uint32_t> got;
+    tree.QueryDominating(q, &got);
+    ASSERT_EQ(got.size(), c.k);
+    EXPECT_EQ(got, BruteForceDominating(pts, q));
+  }
+}
+
+TEST(RTreeTest, AppendsAfterExistingElements) {
+  // The contract covers only the appended range: whatever `out` held
+  // before (here deliberately unsorted) stays untouched, on both sides of
+  // the cutover.
+  const size_t n = 8192;
+  std::vector<Synopsis> pts = PermutedPoints(99, n);
+  SynopsisRTree tree = SynopsisRTree::Build(pts);
+  const std::vector<uint32_t> prefix = {7000, 3, 5000, 3};
+  for (size_t k : {size_t{10}, size_t{200}, size_t{3000}, n}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const Synopsis q = TopK(n, k);
+    std::vector<uint32_t> out = prefix;
+    tree.QueryDominating(q, &out);
+    std::vector<uint32_t> want = prefix;
+    const std::vector<uint32_t> brute = BruteForceDominating(pts, q);
+    want.insert(want.end(), brute.begin(), brute.end());
+    EXPECT_EQ(out, want);
+  }
+}
+
+TEST(RTreeTest, BitmapPathMatchesBruteForceOnRandomPoints) {
+  // Dense random answers (small coordinate range): most queries land on
+  // the bitmap side of the cutover.
+  const size_t n = 30000;
+  std::vector<Synopsis> pts = RandomPoints(4242, n, 2);
+  SynopsisRTree tree = SynopsisRTree::Build(pts);
+  Rng rng(4243);
+  int bitmap_queries = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    Synopsis q;
+    for (int i = 0; i < Synopsis::kNumFields; ++i) {
+      q.f[i] = static_cast<int32_t>(rng.UniformRange(-2, 0));
+    }
+    std::vector<uint32_t> got;
+    tree.QueryDominating(q, &got);
+    EXPECT_EQ(got, BruteForceDominating(pts, q)) << "trial " << trial;
+    bitmap_queries += SynopsisRTree::UseSortedBitmap(got.size(), n);
+  }
+  EXPECT_GT(bitmap_queries, 20);
 }
 
 }  // namespace
