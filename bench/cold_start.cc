@@ -1,17 +1,14 @@
 // Cold-start benchmark: how fast can a QueryEngine instance go from a
-// persisted offline artifact to answering its first query? Compares the
-// length-prefixed stream format (Save/Load) against the mmap'ed AMF format
-// (SaveFile/OpenFile) per dataset: artifact size, save time, load/open
-// time, and first-query latency on the freshly restored engine.
+// persisted offline artifact to answering its first query? Measures the
+// mmap'ed AMF artifact (SaveFile/OpenFile) per dataset: artifact size, save
+// time, open time, and first-query latency on the freshly opened engine.
 //
 // This is the driver behind the ROADMAP "persisted-artifact performance"
 // item: a sharded deployment fans out over many engine instances, so
 // restore cost is paid per shard and dominates elasticity.
 //
 // Extra knobs on top of the common AMBER_BENCH_* ones:
-//   AMBER_COLD_START_REPS         load repetitions per format (default 5)
-//   AMBER_COLD_START_STREAM_ONLY  if set, skip the AMF series — used to
-//                                 capture the pre-AMF baseline JSON
+//   AMBER_COLD_START_REPS  open repetitions per dataset (default 5)
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,10 +23,10 @@
 
 namespace {
 
-std::string TempArtifactPath(const std::string& dataset, const char* ext) {
+std::string TempArtifactPath(const std::string& dataset) {
   const char* tmp = std::getenv("TMPDIR");
   std::string dir = (tmp && *tmp) ? tmp : "/tmp";
-  return dir + "/amber_cold_start_" + dataset + "." + ext;
+  return dir + "/amber_cold_start_" + dataset + ".amf";
 }
 
 }  // namespace
@@ -44,22 +41,17 @@ int main() {
     int n = v ? std::atoi(v) : 5;
     return n > 0 ? n : 5;
   }();
-  const bool stream_only =
-      std::getenv("AMBER_COLD_START_STREAM_ONLY") != nullptr;
 
   const std::vector<std::string> metric_names = {
-      "stream_load_ms",      "amf_open_ms",         "stream_first_query_ms",
-      "amf_first_query_ms",  "stream_save_ms",      "amf_save_ms",
-      "stream_bytes_mb",     "amf_bytes_mb"};
+      "amf_open_ms", "amf_first_query_ms", "amf_save_ms", "amf_bytes_mb"};
   // One series per metric; each point's `size` is the dataset ordinal
   // (0=DBPEDIA, 1=YAGO, 2=LUBM) and `avg_ms` carries the value.
   std::vector<std::vector<SeriesPoint>> series(metric_names.size());
 
-  std::printf("Cold start: stream serde vs mmap AMF (scale %.2f, %d reps)\n\n",
-              config.scale, reps);
-  std::printf("%-10s %10s %12s %12s %12s %14s %14s\n", "dataset", "format",
-              "size", "save (ms)", "load (ms)", "1st query (ms)",
-              "speedup");
+  std::printf("Cold start: mmap AMF (scale %.2f, %d reps)\n\n", config.scale,
+              reps);
+  std::printf("%-10s %12s %12s %12s %14s\n", "dataset", "size", "save (ms)",
+              "open (ms)", "1st query (ms)");
 
   const char* dataset_names[] = {"DBPEDIA", "YAGO", "LUBM"};
   for (int di = 0; di < 3; ++di) {
@@ -86,79 +78,37 @@ int main() {
     }
     const std::string& query = queries.front();
 
-    struct FormatResult {
-      double save_ms = 0;
-      double load_ms = 0;
-      double first_query_ms = 0;
-      uint64_t bytes = 0;
-    };
-    FormatResult stream, amf;
-
-    // --- Stream format -----------------------------------------------------
-    const std::string stream_path = TempArtifactPath(name, "bin");
+    double save_ms = 0;
+    double open_ms = 0;
+    double first_query_ms = 0;
+    uint64_t bytes = 0;
+    const std::string amf_path = TempArtifactPath(name);
     {
       Stopwatch sw;
-      std::ofstream os(stream_path, std::ios::binary | std::ios::trunc);
-      if (!built->Save(os).ok()) return 1;
-      os.close();
-      stream.save_ms = sw.ElapsedMillis();
-      std::ifstream size_probe(stream_path,
-                               std::ios::binary | std::ios::ate);
-      stream.bytes = static_cast<uint64_t>(size_probe.tellg());
+      if (!built->SaveFile(amf_path).ok()) return 1;
+      save_ms = sw.ElapsedMillis();
+      std::ifstream size_probe(amf_path, std::ios::binary | std::ios::ate);
+      bytes = static_cast<uint64_t>(size_probe.tellg());
     }
     for (int r = 0; r < reps; ++r) {
       Stopwatch sw;
-      std::ifstream is(stream_path, std::ios::binary);
-      auto loaded = AmberEngine::Load(is);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "stream load failed: %s\n",
-                     loaded.status().ToString().c_str());
+      auto opened = AmberEngine::OpenFile(amf_path);
+      if (!opened.ok()) {
+        std::fprintf(stderr, "AMF open failed: %s\n",
+                     opened.status().ToString().c_str());
         return 1;
       }
-      stream.load_ms += sw.ElapsedMillis();
+      open_ms += sw.ElapsedMillis();
       sw.Reset();
-      auto count = loaded->CountSparql(query, {});
+      auto count = opened->CountSparql(query, {});
       if (!count.ok()) return 1;
-      stream.first_query_ms += sw.ElapsedMillis();
+      first_query_ms += sw.ElapsedMillis();
     }
-    stream.load_ms /= reps;
-    stream.first_query_ms /= reps;
-    std::printf("%-10s %10s %12s %12.2f %12.3f %14.3f %14s\n", name.c_str(),
-                "stream", FormatBytes(stream.bytes).c_str(), stream.save_ms,
-                stream.load_ms, stream.first_query_ms, "1.0x");
-
-    // --- AMF (mmap) format -------------------------------------------------
-    if (!stream_only) {
-      const std::string amf_path = TempArtifactPath(name, "amf");
-      {
-        Stopwatch sw;
-        if (!built->SaveFile(amf_path).ok()) return 1;
-        amf.save_ms = sw.ElapsedMillis();
-        std::ifstream size_probe(amf_path, std::ios::binary | std::ios::ate);
-        amf.bytes = static_cast<uint64_t>(size_probe.tellg());
-      }
-      for (int r = 0; r < reps; ++r) {
-        Stopwatch sw;
-        auto opened = AmberEngine::OpenFile(amf_path);
-        if (!opened.ok()) {
-          std::fprintf(stderr, "AMF open failed: %s\n",
-                       opened.status().ToString().c_str());
-          return 1;
-        }
-        amf.load_ms += sw.ElapsedMillis();
-        sw.Reset();
-        auto count = opened->CountSparql(query, {});
-        if (!count.ok()) return 1;
-        amf.first_query_ms += sw.ElapsedMillis();
-      }
-      amf.load_ms /= reps;
-      amf.first_query_ms /= reps;
-      const double speedup =
-          amf.load_ms > 0 ? stream.load_ms / amf.load_ms : 0.0;
-      std::printf("%-10s %10s %12s %12.2f %12.3f %14.3f %13.1fx\n",
-                  name.c_str(), "AMF-mmap", FormatBytes(amf.bytes).c_str(),
-                  amf.save_ms, amf.load_ms, amf.first_query_ms, speedup);
-    }
+    std::remove(amf_path.c_str());
+    open_ms /= reps;
+    first_query_ms /= reps;
+    std::printf("%-10s %12s %12.2f %12.3f %14.3f\n", name.c_str(),
+                FormatBytes(bytes).c_str(), save_ms, open_ms, first_query_ms);
 
     auto point = [di](double value) {
       SeriesPoint p;
@@ -168,31 +118,17 @@ int main() {
       p.total = 1;
       return p;
     };
-    series[0].push_back(point(stream.load_ms));
-    series[1].push_back(point(amf.load_ms));
-    series[2].push_back(point(stream.first_query_ms));
-    series[3].push_back(point(amf.first_query_ms));
-    series[4].push_back(point(stream.save_ms));
-    series[5].push_back(point(amf.save_ms));
-    series[6].push_back(point(stream.bytes / 1e6));
-    series[7].push_back(point(amf.bytes / 1e6));
+    series[0].push_back(point(open_ms));
+    series[1].push_back(point(first_query_ms));
+    series[2].push_back(point(save_ms));
+    series[3].push_back(point(bytes / 1e6));
   }
 
   std::printf(
       "\nExpected shape: AMF open cost is header/table validation, the "
       "structural scans over the borrowed arrays (reads, no copies or "
-      "allocations), and the dictionary hash rebuild — well below the "
-      "stream format's full deserialize, which pays allocation + copy on "
-      "top of the same reads.\n");
+      "allocations), and the dictionary hash rebuild.\n");
 
-  std::vector<std::vector<SeriesPoint>> json_series = series;
-  std::vector<std::string> json_names = metric_names;
-  if (stream_only) {
-    // Keep only the stream metrics (indices 0, 2, 4, 6).
-    json_series = {series[0], series[2], series[4], series[6]};
-    json_names = {metric_names[0], metric_names[2], metric_names[4],
-                  metric_names[6]};
-  }
-  WriteSeriesJson("Cold start", json_names, json_series, config);
+  WriteSeriesJson("Cold start", metric_names, series, config);
   return 0;
 }

@@ -3,19 +3,13 @@
 //
 // N concurrent clients (swept over AMBER_BENCH_CLIENTS, default
 // 1,2,4,8,16,32,64) each issue requests back-to-back for a fixed wall
-// window, against three configurations at EQUAL per-query thread count:
+// window, against these configurations at EQUAL per-query thread count:
 //
 //   service-pooled   QueryService with the cache bypassed: every request
 //                    executes, borrowing helpers from the one persistent
 //                    pool (ExecOptions::pool).
 //   service-cached   QueryService with the plan/result cache on: the
 //                    steady-state repeat-heavy serving mix.
-//   per-query-spawn  The same service with ServiceOptions::share_pool off:
-//                    a transient helper pool is spawned and torn down
-//                    inside every single query (the pre-service behavior
-//                    this runtime replaces). Identical normalization,
-//                    admission and response assembly — the ONLY variable
-//                    is the pool strategy.
 //   service-streaming
 //                    QueryStream at the same row cap (request.limit =
 //                    AMBER_BENCH_MAX_ROWS): pages leave through a draining
@@ -51,10 +45,8 @@
 // cross-product again) is a regression even at equal qps.
 //
 // Reported per (series, clients) point: sustained qps plus p50/p99 request
-// latency. Expected shape: service-pooled >= per-query-spawn on qps at
-// every client count (pool spawn/teardown is pure overhead; parity on a
-// 1-core host where T degenerates to 1), and service-cached far above
-// both. Emits BENCH_throughput.json — the harness series schema with qps /
+// latency. Expected shape: service-cached far above service-pooled at
+// every client count. Emits BENCH_throughput.json — the harness series schema with qps /
 // p50_ms / p99_ms attached to every point; tools/bench_diff.py gates qps.
 //
 // Env knobs (bench_common.h): AMBER_BENCH_SCALE / _QUERIES / _TIMEOUT_MS /
@@ -66,7 +58,7 @@
 //                            every series (default 512). A serving mix
 //                            returns bounded pages, not unbounded star
 //                            joins; without the cap, row materialization
-//                            drowns the pool-vs-spawn signal.
+//                            drowns the serving-path signal.
 //   AMBER_BENCH_FAULT_RATE   comma list of transient-fault percentages for
 //                            the service-degraded series (default 1,10;
 //                            empty string disables the sweep).
@@ -296,8 +288,7 @@ int main() {
       std::chrono::milliseconds(config.timeout_ms);
 
   std::vector<std::string> names = {"service-pooled", "service-cached",
-                                    "per-query-spawn", "service-streaming",
-                                    "service-http"};
+                                    "service-streaming", "service-http"};
   for (int rate : fault_rates) {
     names.push_back("service-degraded-" + std::to_string(rate) + "pct");
   }
@@ -325,19 +316,6 @@ int main() {
                                      return resp.ok() && !resp->timed_out;
                                    }));
     }
-    {  // per-query-spawn: a transient helper pool inside every query.
-      ServiceOptions spawn_options = service_options;
-      spawn_options.share_pool = false;
-      QueryService service(&engine, spawn_options);
-      series[2].push_back(RunPoint(clients, window, queries.size(),
-                                   [&](size_t qi) {
-                                     RequestOptions req;
-                                     req.bypass_cache = true;
-                                     auto resp =
-                                         service.Query(queries[qi], req);
-                                     return resp.ok() && !resp->timed_out;
-                                   }));
-    }
     {  // service-streaming: QueryStream at the same row cap; pages drain
        // through a no-op sink, so the point measures the streaming path's
        // pipeline cost plus its bounded-buffer memory high-water mark.
@@ -362,7 +340,7 @@ int main() {
             return resp->complete;
           });
       point.peak_buffered_bytes = peak_bytes.load();
-      series[3].push_back(point);
+      series[2].push_back(point);
     }
     {  // service-http: the same closed loop through the loopback HTTP
        // transport. Connection handlers park on the service pool, so the
@@ -376,10 +354,10 @@ int main() {
       HttpServer server(&service);
       if (Status s = server.Start(); !s.ok()) {
         std::fprintf(stderr, "http server: %s\n", s.ToString().c_str());
-        series[4].push_back(ThroughputPoint{clients});
+        series[3].push_back(ThroughputPoint{clients});
       } else {
         const uint16_t port = server.port();
-        series[4].push_back(RunPoint(
+        series[3].push_back(RunPoint(
             clients, window, queries.size(), [&, port](size_t qi) {
               // One keep-alive client per closed-loop thread (threads are
               // per-point, so so are the connections).
@@ -419,7 +397,7 @@ int main() {
         spec.seed = 1000u * static_cast<uint64_t>(clients) + f;
         fault.emplace(faults::kServiceExecute, spec);
       }
-      series[5 + f].push_back(RunPoint(clients, window, queries.size(),
+      series[4 + f].push_back(RunPoint(clients, window, queries.size(),
                                        [&](size_t qi) {
                                          RequestOptions req;
                                          req.bypass_cache = true;
@@ -446,16 +424,14 @@ int main() {
     std::printf("  %10.3fms  %10.3fms\n", series[0][i].p50_ms,
                 series[0][i].p99_ms);
   }
-  std::printf("\nExpected shape: service-pooled >= per-query-spawn at every "
-              "client count (pool spawn is pure overhead; parity on a "
-              "1-core host), service-cached far above both, "
-              "service-streaming near service-pooled qps with "
+  std::printf("\nExpected shape: service-cached far above service-pooled "
+              "at every client count, service-streaming near service-pooled qps with "
               "peak_buffered_bytes bounded by the page buffer, and every "
               "service-degraded series still answering (reduced qps, "
               "never zero).\n");
-  if (!series[3].empty()) {
+  if (!series[2].empty()) {
     uint64_t high = 0;
-    for (const auto& p : series[3]) {
+    for (const auto& p : series[2]) {
       high = std::max(high, p.peak_buffered_bytes);
     }
     std::printf("service-streaming peak buffered bytes (max over points): "

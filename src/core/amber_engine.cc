@@ -8,17 +8,11 @@
 #include "util/amf.h"
 #include "util/clock.h"
 #include "util/fault_injector.h"
-#include "util/serde.h"
 #include "util/thread_pool.h"
 
 namespace amber {
 
 namespace {
-constexpr uint32_t kEngineMagic = 0x414D4245;  // "AMBE"
-// v2: attribute-predicate dictionary + value index appended (FILTER
-// pushdown artifacts).
-constexpr uint32_t kEngineVersion = 2;
-
 /// Serial streaming sink: forwards rows to `deliver` as the matcher finds
 /// them, deduplicating (DISTINCT) and capping on delivered rows. The cap
 /// counts rows the consumer accepted, so truncation means exactly "cap
@@ -379,24 +373,6 @@ std::vector<std::string> AmberEngine::TranslateRow(
     out.emplace_back(dicts_.VertexToken(v));
   }
   return out;
-}
-
-Status AmberEngine::Save(std::ostream& os) const {
-  serde::WriteHeader(os, kEngineMagic, kEngineVersion);
-  dicts_.Save(os);
-  graph_.Save(os);
-  indexes_.Save(os);
-  if (!os.good()) return Status::IOError("failed writing engine artifacts");
-  return Status::OK();
-}
-
-Result<AmberEngine> AmberEngine::Load(std::istream& is) {
-  AMBER_RETURN_IF_ERROR(serde::CheckHeader(is, kEngineMagic, kEngineVersion));
-  AmberEngine engine;
-  AMBER_RETURN_IF_ERROR(engine.dicts_.Load(is));
-  AMBER_RETURN_IF_ERROR(engine.graph_.Load(is));
-  AMBER_RETURN_IF_ERROR(engine.indexes_.Load(is));
-  return engine;
 }
 
 Status AmberEngine::SaveFile(const std::string& path) const {

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/serde.h"
 #include "util/thread_pool.h"
 
 namespace amber {
 
 namespace {
-constexpr uint32_t kGraphMagic = 0x414D4247;  // "AMBG"
-constexpr uint32_t kGraphVersion = 1;
-
 // AMF section ids (namespace 0x10xx).
 constexpr uint32_t kAmfMgMeta = 0x1000;
 constexpr uint32_t kAmfMgAdjBase = 0x1010;  // + 0x10 per direction
@@ -271,76 +267,6 @@ bool Multigraph::operator==(const Multigraph& o) const {
          attr_pool_ == o.attr_pool_;
 }
 
-void Multigraph::Save(std::ostream& os) const {
-  serde::WriteHeader(os, kGraphMagic, kGraphVersion);
-  serde::WritePod<uint64_t>(os, num_vertices_);
-  serde::WritePod<uint64_t>(os, num_edges_);
-  serde::WritePod<uint64_t>(os, num_edge_types_);
-  serde::WritePod<uint64_t>(os, num_attributes_);
-  for (const Adjacency& a : adj_) {
-    serde::WriteSpan(os, a.offsets.span());
-    serde::WritePod<uint64_t>(os, a.groups.size());
-    for (const GroupEntry& g : a.groups) {
-      serde::WritePod(os, g.neighbor);
-      serde::WritePod(os, g.type_begin);
-      serde::WritePod(os, g.type_count);
-    }
-    serde::WriteSpan(os, a.types.span());
-  }
-  serde::WriteSpan(os, attr_offsets_.span());
-  serde::WriteSpan(os, attr_pool_.span());
-}
-
-Status Multigraph::Load(std::istream& is) {
-  AMBER_RETURN_IF_ERROR(serde::CheckHeader(is, kGraphMagic, kGraphVersion));
-  uint64_t v64 = 0;
-  AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &v64));
-  num_vertices_ = v64;
-  AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &num_edges_));
-  AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &v64));
-  num_edge_types_ = v64;
-  AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &v64));
-  num_attributes_ = v64;
-  for (Adjacency& a : adj_) {
-    std::vector<uint64_t> offsets;
-    AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &offsets));
-    uint64_t n = 0;
-    AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &n));
-    if (n > serde::kMaxPayloadBytes / sizeof(GroupEntry)) {
-      return Status::Corruption("implausible group count");
-    }
-    // Grown by push_back, not resize(n): a forged count on a truncated
-    // stream fails at the first missing element instead of allocating the
-    // full claimed size up front.
-    std::vector<GroupEntry> groups;
-    for (uint64_t i = 0; i < n; ++i) {
-      GroupEntry g;
-      AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &g.neighbor));
-      AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &g.type_begin));
-      AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &g.type_count));
-      groups.push_back(g);
-    }
-    std::vector<EdgeTypeId> types;
-    AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &types));
-    if (offsets.size() != num_vertices_ + 1) {
-      return Status::Corruption("adjacency offsets size mismatch");
-    }
-    a.offsets = std::move(offsets);
-    a.groups = std::move(groups);
-    a.types = std::move(types);
-  }
-  std::vector<uint64_t> attr_offsets;
-  std::vector<AttributeId> attr_pool;
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &attr_offsets));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &attr_pool));
-  if (attr_offsets.size() != num_vertices_ + 1) {
-    return Status::Corruption("attribute offsets size mismatch");
-  }
-  attr_offsets_ = std::move(attr_offsets);
-  attr_pool_ = std::move(attr_pool);
-  return Status::OK();
-}
-
 void Multigraph::SaveAmf(amf::Writer* w) const {
   MgMetaPod meta{num_vertices_, num_edges_, num_edge_types_,
                  num_attributes_};
@@ -358,7 +284,7 @@ void Multigraph::SaveAmf(amf::Writer* w) const {
 Status Multigraph::LoadAmf(const amf::Reader& r) {
   MgMetaPod meta;
   AMBER_RETURN_IF_ERROR(r.Pod(kAmfMgMeta, &meta));
-  if (meta.num_vertices >= serde::kMaxPayloadBytes) {
+  if (meta.num_vertices >= amf::kMaxPayloadBytes) {
     return Status::Corruption("implausible vertex count in AMF meta");
   }
   num_vertices_ = meta.num_vertices;

@@ -3,14 +3,10 @@
 #include <algorithm>
 
 #include "util/intersect.h"
-#include "util/serde.h"
 
 namespace amber {
 
 namespace {
-constexpr uint32_t kAttrIndexMagic = 0x414D4241;  // "AMBA"
-constexpr uint32_t kAttrIndexVersion = 1;
-
 // AMF section ids (namespace 0x20xx).
 constexpr uint32_t kAmfAttrOffsets = 0x2000;
 constexpr uint32_t kAmfAttrPool = 0x2001;
@@ -69,24 +65,6 @@ bool AttributeIndex::VertexHasAll(VertexId v,
     if (!std::binary_search(list.begin(), list.end(), v)) return false;
   }
   return true;
-}
-
-void AttributeIndex::Save(std::ostream& os) const {
-  serde::WriteHeader(os, kAttrIndexMagic, kAttrIndexVersion);
-  serde::WriteSpan(os, offsets_.span());
-  serde::WriteSpan(os, pool_.span());
-}
-
-Status AttributeIndex::Load(std::istream& is) {
-  AMBER_RETURN_IF_ERROR(
-      serde::CheckHeader(is, kAttrIndexMagic, kAttrIndexVersion));
-  std::vector<uint64_t> offsets;
-  std::vector<VertexId> pool;
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &offsets));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &pool));
-  offsets_ = std::move(offsets);
-  pool_ = std::move(pool);
-  return Status::OK();
 }
 
 void AttributeIndex::SaveAmf(amf::Writer* w) const {

@@ -7,7 +7,6 @@
 #define AMBER_INDEX_ATTRIBUTE_INDEX_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -46,9 +45,6 @@ class AttributeIndex {
   uint64_t ByteSize() const {
     return offsets_.ByteSize() + pool_.ByteSize();
   }
-
-  void Save(std::ostream& os) const;
-  Status Load(std::istream& is);
 
   void SaveAmf(amf::Writer* w) const;
   /// `num_vertices` bounds the pool entries (they are graph vertex ids the

@@ -5,14 +5,9 @@
 #include <limits>
 #include <tuple>
 
-#include "util/serde.h"
-
 namespace amber {
 
 namespace {
-
-constexpr uint32_t kValueIndexMagic = 0x414D4256;  // "AMBV"
-constexpr uint32_t kValueIndexVersion = 1;
 
 // AMF section ids (namespace 0x60xx).
 constexpr uint32_t kAmfAttrPred = 0x6000;
@@ -359,8 +354,7 @@ uint64_t ValueIndex::ByteSize() const {
          str_attrs_.ByteSize() + str_vertices_.ByteSize();
 }
 
-Status ValueIndex::Validate(uint64_t num_vertices,
-                            bool check_vertex_range) const {
+Status ValueIndex::Validate(uint64_t num_vertices) const {
   const size_t num_attrs = attr_pred_.size();
   if (attr_kind_.size() != num_attrs || attr_num_.size() != num_attrs) {
     return Status::Corruption("value index attribute table size mismatch");
@@ -423,73 +417,17 @@ Status ValueIndex::Validate(uint64_t num_vertices,
       }
     }
   }
-  if (check_vertex_range) {
-    for (VertexId v : num_vertices_.span()) {
-      if (v >= num_vertices) {
-        return Status::Corruption("value index vertex id out of range");
-      }
+  for (VertexId v : num_vertices_.span()) {
+    if (v >= num_vertices) {
+      return Status::Corruption("value index vertex id out of range");
     }
-    for (VertexId v : str_vertices_.span()) {
-      if (v >= num_vertices) {
-        return Status::Corruption("value index vertex id out of range");
-      }
+  }
+  for (VertexId v : str_vertices_.span()) {
+    if (v >= num_vertices) {
+      return Status::Corruption("value index vertex id out of range");
     }
   }
   return Status::OK();
-}
-
-void ValueIndex::Save(std::ostream& os) const {
-  serde::WriteHeader(os, kValueIndexMagic, kValueIndexVersion);
-  serde::WriteSpan(os, attr_pred_.span());
-  serde::WriteSpan(os, attr_kind_.span());
-  serde::WriteSpan(os, attr_num_.span());
-  serde::WriteSpan(os, attr_text_offsets_.span());
-  serde::WriteSpan(os, attr_text_blob_.span());
-  serde::WriteSpan(os, num_offsets_.span());
-  serde::WriteSpan(os, num_values_.span());
-  serde::WriteSpan(os, num_vertices_.span());
-  serde::WriteSpan(os, str_offsets_.span());
-  serde::WriteSpan(os, str_attrs_.span());
-  serde::WriteSpan(os, str_vertices_.span());
-}
-
-Status ValueIndex::Load(std::istream& is) {
-  AMBER_RETURN_IF_ERROR(
-      serde::CheckHeader(is, kValueIndexMagic, kValueIndexVersion));
-  std::vector<AttrPredId> attr_pred;
-  std::vector<uint8_t> attr_kind;
-  std::vector<double> attr_num;
-  std::vector<uint64_t> text_offsets;
-  std::vector<char> text_blob;
-  std::vector<uint64_t> num_offsets;
-  std::vector<double> num_values;
-  std::vector<VertexId> num_vertices;
-  std::vector<uint64_t> str_offsets;
-  std::vector<AttributeId> str_attrs;
-  std::vector<VertexId> str_vertices;
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &attr_pred));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &attr_kind));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &attr_num));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &text_offsets));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &text_blob));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &num_offsets));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &num_values));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &num_vertices));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &str_offsets));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &str_attrs));
-  AMBER_RETURN_IF_ERROR(serde::ReadVector(is, &str_vertices));
-  attr_pred_ = std::move(attr_pred);
-  attr_kind_ = std::move(attr_kind);
-  attr_num_ = std::move(attr_num);
-  attr_text_offsets_ = std::move(text_offsets);
-  attr_text_blob_ = std::move(text_blob);
-  num_offsets_ = std::move(num_offsets);
-  num_values_ = std::move(num_values);
-  num_vertices_ = std::move(num_vertices);
-  str_offsets_ = std::move(str_offsets);
-  str_attrs_ = std::move(str_attrs);
-  str_vertices_ = std::move(str_vertices);
-  return Validate(0, /*check_vertex_range=*/false);
 }
 
 void ValueIndex::SaveAmf(amf::Writer* w) const {
@@ -540,7 +478,7 @@ Status ValueIndex::LoadAmf(const amf::Reader& r, uint64_t num_vertices) {
   str_offsets_ = ArrayRef<uint64_t>::Borrowed(str_offsets);
   str_attrs_ = ArrayRef<AttributeId>::Borrowed(str_attrs);
   str_vertices_ = ArrayRef<VertexId>::Borrowed(str_vertices);
-  return Validate(num_vertices, /*check_vertex_range=*/true);
+  return Validate(num_vertices);
 }
 
 }  // namespace amber

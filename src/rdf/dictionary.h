@@ -5,7 +5,7 @@
 // back. Ids are assigned in first-seen order starting at 0.
 //
 // A dictionary stores its entries in one of two places: an owned deque of
-// strings (the Build()/stream-Load path), or a borrowed (blob, offsets)
+// strings (the Build() path), or a borrowed (blob, offsets)
 // pair of spans into an mmap'ed AMF artifact — entry i is the byte range
 // blob[offsets[i], offsets[i+1]). Only the hash index is (re)built on the
 // borrowed path; the string bytes themselves are never copied. New keys
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "util/amf.h"
-#include "util/serde.h"
 #include "util/status.h"
 
 namespace amber {
@@ -94,26 +93,6 @@ class StringDictionary {
     total += index_.size() *
              (sizeof(std::string_view) + sizeof(DictId) + 2 * sizeof(void*));
     return total;
-  }
-
-  void Save(std::ostream& os) const {
-    serde::WritePod<uint64_t>(os, size());
-    for (size_t i = 0; i < size(); ++i) {
-      serde::WriteString(os, Lookup(static_cast<DictId>(i)));
-    }
-  }
-
-  Status Load(std::istream& is) {
-    Clear();
-    uint64_t n = 0;
-    AMBER_RETURN_IF_ERROR(serde::ReadPod(is, &n));
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string s;
-      AMBER_RETURN_IF_ERROR(serde::ReadString(is, &s));
-      if (Contains(s)) return Status::Corruption("duplicate dictionary key");
-      GetOrAdd(s);
-    }
-    return Status::OK();
   }
 
   /// Adds this dictionary's two AMF sections (string blob + offset table)

@@ -106,9 +106,6 @@ class RdfDictionaries {
            attributes_.ByteSize() + attr_predicates_.ByteSize();
   }
 
-  void Save(std::ostream& os) const;
-  Status Load(std::istream& is);
-
   /// AMF sections of the three dictionaries (see docs/ARCHITECTURE.md,
   /// "Artifact format").
   void SaveAmf(amf::Writer* w) const;

@@ -566,7 +566,7 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.shed_thread_budgets;
   }
-  if (options_.share_pool) exec.pool = &pool_;
+  exec.pool = &pool_;
   if (!request.count_only) exec.max_rows = options_.max_result_rows;
   exec.cancel = exec_cancel.token();
 
@@ -885,7 +885,7 @@ Result<StreamResponse> QueryService::QueryStream(std::string_view text,
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.shed_thread_budgets;
   }
-  if (options_.share_pool) exec.pool = &pool_;
+  exec.pool = &pool_;
   exec.cancel = exec_cancel.token();
   // Pagination folds into the engine's row cap: enumeration stops once
   // offset + limit rows exist, instead of materializing the full result

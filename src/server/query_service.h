@@ -112,13 +112,6 @@ struct ServiceOptions {
   /// pool_threads + 1 (all helpers plus the client thread).
   int max_thread_budget = 0;
 
-  /// Ablation knob (bench/throughput.cc): when false, executions do NOT
-  /// borrow from the persistent pool — each multi-threaded query spawns
-  /// and tears down its own transient helpers, the pre-service behavior.
-  /// Everything else (normalization, admission, caching, response
-  /// assembly) is unchanged, isolating the pool strategy.
-  bool share_pool = true;
-
   /// Deadline for requests that don't set one. Zero = unlimited.
   std::chrono::milliseconds default_deadline{0};
 

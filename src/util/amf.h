@@ -109,6 +109,10 @@ class Writer {
   std::vector<Pending> sections_;
 };
 
+/// Hard ceiling on any count read from a metadata section (1 TiB). A count
+/// above it is rejected as corruption before it sizes anything.
+inline constexpr uint64_t kMaxPayloadBytes = 1ULL << 40;
+
 /// Shared check for borrowed CSR-style offset tables: non-empty, starts at
 /// 0, ends exactly at `pool_size`, monotone non-decreasing. Every LoadAmf
 /// that borrows an offsets/pool pair funnels through this so the

@@ -5,7 +5,7 @@
 // Built structures own their data (a std::vector moved in at Build() time);
 // structures restored from an AMF artifact borrow theirs (a span into the
 // mmap'ed file, kept alive by the engine holding the mapping). Everything
-// after Build()/Load() is read-only — that immutability is what makes the
+// after Build()/LoadAmf() is read-only — that immutability is what makes the
 // two modes interchangeable behind one const-span interface, so the query
 // path never knows which one it is running against.
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "index/attribute_index.h"
 #include "test_util.h"
 
@@ -60,11 +58,9 @@ TEST(AttributeIndexTest, VertexHasAll) {
 
 TEST(AttributeIndexTest, SaveLoadRoundTrip) {
   AttributeIndex index = AttributeIndex::Build(AttributedGraph());
-  std::stringstream ss;
-  index.Save(ss);
-  AttributeIndex loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
-  EXPECT_TRUE(loaded == index);
+  auto loaded = testutil::AmfCopy(index, /*num_vertices=*/5);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->value == index);
 }
 
 TEST(AttributeIndexTest, EmptyGraph) {

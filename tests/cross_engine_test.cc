@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "baseline/graph_backtrack.h"
 #include "baseline/triple_store.h"
@@ -135,10 +134,9 @@ TEST(CrossEngineDistinctTest, DistinctAgreesAcrossEngines) {
   }
 }
 
-// Persisted-artifact agreement: an engine restored from either artifact
-// format (length-prefixed stream or mmap'ed AMF) must produce byte-
-// identical query results to the freshly built engine, across the paper
-// example and generated workloads.
+// Persisted-artifact agreement: an engine restored from its mmap'ed AMF
+// artifact must produce byte-identical query results to the freshly built
+// engine, across the paper example and generated workloads.
 class ArtifactRoundTripTest : public ::testing::Test {
  protected:
   void RunWorkload(const std::vector<Triple>& data,
@@ -146,11 +144,6 @@ class ArtifactRoundTripTest : public ::testing::Test {
                    const std::string& tag) {
     auto fresh = AmberEngine::Build(data);
     ASSERT_TRUE(fresh.ok()) << fresh.status();
-
-    std::stringstream ss;
-    ASSERT_TRUE(fresh->Save(ss).ok());
-    auto streamed = AmberEngine::Load(ss);
-    ASSERT_TRUE(streamed.ok()) << streamed.status();
 
     const std::string path = testing::TempDir() + "/cross_" + tag + "_" +
                              std::to_string(::getpid()) + ".amf";
@@ -167,14 +160,12 @@ class ArtifactRoundTripTest : public ::testing::Test {
       ASSERT_TRUE(want_rows.ok());
       auto want = testutil::CanonicalRows(want_rows->rows);
 
-      for (AmberEngine* engine : {&*streamed, &*mapped}) {
-        auto rows = engine->Materialize(*parsed, {});
-        ASSERT_TRUE(rows.ok()) << rows.status();
-        EXPECT_EQ(testutil::CanonicalRows(rows->rows), want);
-        auto count = engine->Count(*parsed, {});
-        ASSERT_TRUE(count.ok());
-        EXPECT_EQ(count->count, want_rows->rows.size());
-      }
+      auto rows = mapped->Materialize(*parsed, {});
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      EXPECT_EQ(testutil::CanonicalRows(rows->rows), want);
+      auto count = mapped->Count(*parsed, {});
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(count->count, want_rows->rows.size());
     }
   }
 };
@@ -200,7 +191,7 @@ TEST_F(ArtifactRoundTripTest, GeneratedWorkloadsAgree) {
 
 // FILTER differential coverage (the acceptance gate of the FILTER
 // pipeline): handcrafted and random FILTER queries must return identical
-// rows across AmberEngine (fresh, stream-restored, mmap-restored),
+// rows across AmberEngine (fresh, mmap-restored),
 // TripleStore (both join orders), GraphBacktrack, and the brute-force
 // oracle — in both pushdown and post-filter-only modes.
 class CrossEngineFilterTest : public ::testing::Test {
@@ -211,12 +202,6 @@ class CrossEngineFilterTest : public ::testing::Test {
     auto amber = AmberEngine::Build(data_);
     ASSERT_TRUE(amber.ok()) << amber.status();
     amber_ = std::make_unique<AmberEngine>(std::move(amber).value());
-
-    std::stringstream ss;
-    ASSERT_TRUE(amber_->Save(ss).ok());
-    auto streamed = AmberEngine::Load(ss);
-    ASSERT_TRUE(streamed.ok()) << streamed.status();
-    streamed_ = std::make_unique<AmberEngine>(std::move(streamed).value());
 
     // Unique per process: ctest -j runs this fixture's cases as concurrent
     // processes, and writing one shared path while a sibling has it mmap'ed
@@ -265,7 +250,6 @@ class CrossEngineFilterTest : public ::testing::Test {
     const Mode modes[] = {
         {amber_.get(), &pushdown, "AMbER"},
         {amber_.get(), &post_filter, "AMbER-postfilter"},
-        {streamed_.get(), &pushdown, "AMbER-streamed"},
         {mapped_.get(), &pushdown, "AMbER-mmap"},
         {store_.get(), &pushdown, "TripleStore"},
         {store_naive_.get(), &pushdown, "TripleStore-naive"},
@@ -284,7 +268,7 @@ class CrossEngineFilterTest : public ::testing::Test {
   }
 
   std::vector<Triple> data_;
-  std::unique_ptr<AmberEngine> amber_, streamed_, mapped_;
+  std::unique_ptr<AmberEngine> amber_, mapped_;
   std::unique_ptr<TripleStoreEngine> store_, store_naive_;
   std::unique_ptr<GraphBacktrackEngine> graph_bt_;
 };
@@ -374,8 +358,8 @@ TEST(CrossEngineStarTest, StarQueriesAgree) {
   }
 }
 
-// Factorized differential: every artifact form (fresh build, stream
-// round-trip, mmap'ed AMF) × serial/parallel × result form (flat,
+// Factorized differential: every artifact form (fresh build, mmap'ed
+// AMF) × serial/parallel × result form (flat,
 // factorized, auto) must materialize the exact same row vectors — order
 // included — and the factorized handles must agree on totals. DISTINCT and
 // tight LIMIT/OFFSET queries ride along because they exercise the
@@ -384,11 +368,6 @@ TEST(CrossEngineFactorizedTest, ArtifactsAgreeAcrossResultForms) {
   auto data = testutil::RandomDataset(77, 14, 70, 3);
   auto fresh = AmberEngine::Build(data);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
-
-  std::stringstream ss;
-  ASSERT_TRUE(fresh->Save(ss).ok());
-  auto streamed = AmberEngine::Load(ss);
-  ASSERT_TRUE(streamed.ok()) << streamed.status();
 
   const std::string path = testing::TempDir() + "/cross_fact_" +
                            std::to_string(::getpid()) + ".amf";
@@ -401,7 +380,6 @@ TEST(CrossEngineFactorizedTest, ArtifactsAgreeAcrossResultForms) {
     const char* label;
   };
   const EngineUnderTest engines[] = {{&fresh.value(), "fresh"},
-                                     {&streamed.value(), "streamed"},
                                      {&mapped.value(), "mapped"}};
 
   std::vector<std::string> queries = {

@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <fstream>
 
 #include "core/amber_engine.h"
 #include "gen/paper_example.h"
@@ -220,9 +221,10 @@ TEST(AmberEngineTest, AblationOptionsPreserveResults) {
 TEST(AmberEngineTest, SaveLoadRoundTripPreservesResults) {
   auto triples = testutil::MustParse(kPaperExampleNTriples);
   AmberEngine engine = MustBuild(triples);
-  std::stringstream ss;
-  ASSERT_TRUE(engine.Save(ss).ok());
-  auto loaded = AmberEngine::Load(ss);
+  const std::string path = testutil::UniqueTempPath("engine");
+  ASSERT_TRUE(engine.SaveFile(path).ok());
+  auto loaded = AmberEngine::OpenFile(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   auto a = engine.CountSparql(kPaperExampleQuery, {});
@@ -234,9 +236,10 @@ TEST(AmberEngineTest, SaveLoadRoundTripPreservesResults) {
 }
 
 TEST(AmberEngineTest, LoadRejectsGarbage) {
-  std::stringstream ss;
-  ss << "this is not an engine file";
-  auto loaded = AmberEngine::Load(ss);
+  const std::string path = testutil::UniqueTempPath("garbage");
+  std::ofstream(path) << "this is not an engine file";
+  auto loaded = AmberEngine::OpenFile(path);
+  std::remove(path.c_str());
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption());
 }

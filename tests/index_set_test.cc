@@ -1,9 +1,7 @@
 // Tests for the IndexSet ensemble: joint build, byte accounting, and the
-// combined save/load round trip used by the offline stage.
+// combined AMF round trip used by the offline stage.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "index/index_set.h"
 #include "test_util.h"
@@ -38,10 +36,9 @@ TEST(IndexSetTest, SaveLoadRoundTripPreservesAnswers) {
       IndexSet::Build(g, encoded->attribute_values,
                       encoded->dictionaries.attr_predicates().size());
 
-  std::stringstream ss;
-  set.Save(ss);
-  IndexSet loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  auto copy = testutil::AmfCopy(set, g.NumVertices());
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  const IndexSet& loaded = copy->value;
 
   // Compare probe answers from all three indexes.
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
@@ -56,22 +53,6 @@ TEST(IndexSetTest, SaveLoadRoundTripPreservesAnswers) {
     EXPECT_EQ(loaded.attribute.Candidates(attrs),
               set.attribute.Candidates(attrs));
   }
-}
-
-TEST(IndexSetTest, LoadFailsOnTruncatedStream) {
-  auto triples = testutil::RandomDataset(9, 10, 40, 3);
-  auto encoded = EncodedDataset::Encode(triples);
-  ASSERT_TRUE(encoded.ok());
-  Multigraph g = Multigraph::FromDataset(*encoded);
-  IndexSet set =
-      IndexSet::Build(g, encoded->attribute_values,
-                      encoded->dictionaries.attr_predicates().size());
-  std::stringstream ss;
-  set.Save(ss);
-  std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  IndexSet loaded;
-  EXPECT_FALSE(loaded.Load(truncated).ok());
 }
 
 // Lemma 1 end-to-end at index level: the S candidates for a query synopsis

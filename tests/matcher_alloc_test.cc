@@ -7,14 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "core/matcher.h"
 #include "core/query_plan.h"
+#include "counting_allocator.h"
 #include "graph/multigraph.h"
 #include "index/index_set.h"
 #include "rdf/encoded_dataset.h"
@@ -22,45 +20,10 @@
 #include "sparql/parser.h"
 #include "sparql/query_graph.h"
 
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-// Global allocator replacement: every form routes through malloc/free so
-// plain and sized/aligned news and deletes stay paired.
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace amber {
 namespace {
+
+using testutil::g_total_allocs;
 
 Term I(const std::string& s) { return Term::Iri("urn:" + s); }
 
@@ -130,9 +93,9 @@ TEST(MatcherAllocTest, SteadyStateRunIsAllocationFree) {
   // Steady state: identical run, zero heap allocations.
   CountingSink sink;
   ExecStats stats;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = g_total_allocs.load(std::memory_order_relaxed);
   Status status = matcher.Run(&sink, &stats);
-  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t after = g_total_allocs.load(std::memory_order_relaxed);
 
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(after - before, 0u)
@@ -177,7 +140,7 @@ TEST(MatcherAllocTest, SteadyStateWorkerChunkRunsAreAllocationFree) {
   // Steady state: every chunk run allocates nothing, and the chunk counts
   // sum to the full serial count.
   uint64_t total = 0;
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t before = g_total_allocs.load(std::memory_order_relaxed);
   for (size_t begin = 0; begin < all.size(); begin += chunk) {
     const size_t len = std::min(chunk, all.size() - begin);
     CountingSink sink;
@@ -188,7 +151,7 @@ TEST(MatcherAllocTest, SteadyStateWorkerChunkRunsAreAllocationFree) {
                     .ok());
     total += sink.count();
   }
-  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t after = g_total_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "steady-state worker chunk runs performed " << (after - before)
       << " heap allocations";

@@ -1,12 +1,13 @@
 // Unit tests for the CSR multigraph: construction, neighbour groups,
-// multi-edge lookup, deduplication, attributes, serialization.
+// multi-edge lookup, deduplication, attributes, AMF persistence.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <array>
 
 #include "graph/multigraph.h"
 #include "rdf/encoded_dataset.h"
+#include "test_util.h"
 
 namespace amber {
 namespace {
@@ -127,39 +128,44 @@ TEST(MultigraphTest, FromDatasetUsesDictionarySizes) {
 
 TEST(MultigraphTest, SaveLoadRoundTrip) {
   Multigraph g = SmallGraph();
-  std::stringstream ss;
-  g.Save(ss);
-  Multigraph loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
-  EXPECT_TRUE(loaded == g);
-  EXPECT_EQ(loaded.NumEdges(), g.NumEdges());
-  EXPECT_TRUE(loaded.HasEdge(1, 1, 1));
+  auto loaded = testutil::AmfCopy(g);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->value == g);
+  EXPECT_EQ(loaded->value.NumEdges(), g.NumEdges());
+  EXPECT_TRUE(loaded->value.HasEdge(1, 1, 1));
 }
 
+// AMF section ids of the multigraph (graph/multigraph.cc): the meta pod
+// and the out-direction offsets / groups / types arrays.
+constexpr uint32_t kMetaSection = 0x1000;
+constexpr uint32_t kOutAdjSection = 0x1010;
+
 TEST(MultigraphTest, LoadRejectsCorruptHeader) {
-  std::stringstream ss;
-  ss << "garbage bytes here and then some";
-  Multigraph g;
-  EXPECT_TRUE(g.Load(ss).IsCorruption());
+  // The meta pod heads the graph's sections; a vertex count at the payload
+  // ceiling is rejected before it sizes any check.
+  auto loaded = testutil::AmfRoundTrip<Multigraph>(
+      [](amf::Writer* w) {
+        w->AddPod(kMetaSection,
+                  std::array<uint64_t, 4>{amf::kMaxPayloadBytes, 0, 0, 0});
+      },
+      [](const amf::Reader& r, Multigraph* g) { return g->LoadAmf(r); });
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
 }
 
 TEST(MultigraphTest, LoadRejectsForgedGroupCount) {
-  // A valid prefix followed by a forged group count must fail cleanly
-  // without a giant upfront allocation (the count field bypasses
-  // serde::ReadVector, so Load has its own cap + incremental growth).
-  Multigraph g = SmallGraph();
-  std::stringstream good;
-  g.Save(good);
-  std::string bytes = good.str();
-  // Layout: header (8) + four u64 counts (32) + dir0 offsets vector
-  // (8 + (V+1)*8) + u64 group count.
-  const size_t count_pos = 8 + 32 + 8 + (g.NumVertices() + 1) * 8;
-  ASSERT_LT(count_pos + 8, bytes.size());
-  const uint64_t forged = 1ULL << 50;
-  std::memcpy(bytes.data() + count_pos, &forged, sizeof(forged));
-  std::stringstream bad(bytes);
-  Multigraph loaded;
-  EXPECT_TRUE(loaded.Load(bad).IsCorruption());
+  // The offsets table claims 2^50 groups for vertex 0 while the group
+  // section holds none: the load must fail cleanly, not read past it.
+  auto loaded = testutil::AmfRoundTrip<Multigraph>(
+      [](amf::Writer* w) {
+        w->AddPod(kMetaSection, std::array<uint64_t, 4>{1, 0, 0, 0});
+        w->AddOwned<uint64_t>(kOutAdjSection, {0, 1ULL << 50});
+        w->AddOwned<uint32_t>(kOutAdjSection + 1, {});
+        w->AddOwned<uint32_t>(kOutAdjSection + 2, {});
+      },
+      [](const amf::Reader& r, Multigraph* g) { return g->LoadAmf(r); });
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "graph/multigraph.h"
 #include "index/neighborhood_index.h"
@@ -172,10 +171,9 @@ TEST(NeighborhoodIndexTest, SaveLoadRoundTrip) {
   Multigraph g = Multigraph::FromDataset(*encoded);
   NeighborhoodIndex index = NeighborhoodIndex::Build(g);
 
-  std::stringstream ss;
-  index.Save(ss);
-  NeighborhoodIndex loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  auto copy = testutil::AmfCopy(index);
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  const NeighborhoodIndex& loaded = copy->value;
 
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     for (Direction d : {Direction::kIn, Direction::kOut}) {

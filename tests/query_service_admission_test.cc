@@ -1,74 +1,29 @@
 // Admission control and deadline semantics under saturation: rejected
 // requests fail fast with kResourceExhausted and leak NOTHING — no pool
 // tasks, no scratch arenas, not one heap allocation left behind (verified
-// with the counting global allocator in the style of matcher_alloc_test.cc,
-// extended to track live allocations) — and deadlines stay per-QUERY
-// budgets even when the request spends its life waiting in the queue.
+// with the counting global allocator of counting_allocator.h) — and
+// deadlines stay per-QUERY budgets even when the request spends its life
+// waiting in the queue.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/amber_engine.h"
 #include "server/query_service.h"
+#include "counting_allocator.h"
 #include "test_util.h"
-
-namespace {
-std::atomic<int64_t> g_live_allocs{0};
-}  // namespace
-
-// Global allocator replacement tracking LIVE allocations (news minus
-// deletes): a balanced diff around a rejected request proves the service
-// released every byte it touched. Every form routes through malloc/free so
-// plain and sized/aligned news and deletes stay paired.
-void* operator new(std::size_t size) {
-  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept {
-  if (p) g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
 
 namespace amber {
 namespace {
+
+using testutil::g_live_allocs;
 
 /// Engine stub whose executions block on a gate until released: the
 /// deterministic way to hold execution slots and saturate admission.

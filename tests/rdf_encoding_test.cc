@@ -4,10 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "rdf/dictionary.h"
 #include "rdf/encoded_dataset.h"
+#include "test_util.h"
 
 namespace amber {
 namespace {
@@ -44,13 +43,33 @@ TEST(StringDictionaryTest, SaveLoadRoundTrip) {
   dict.GetOrAdd("alpha");
   dict.GetOrAdd("beta \x1f with separator");
   dict.GetOrAdd("");
-  std::stringstream ss;
-  dict.Save(ss);
-  StringDictionary loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  constexpr uint32_t kBase = 0x100;
+  auto copy = testutil::AmfRoundTrip<StringDictionary>(
+      [&](amf::Writer* w) { dict.SaveAmf(w, kBase); },
+      [&](const amf::Reader& r, StringDictionary* out) {
+        return out->LoadAmf(r, kBase);
+      });
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  const StringDictionary& loaded = copy->value;
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(*loaded.Find("alpha"), 0u);
+  EXPECT_EQ(loaded.Lookup(1), "beta \x1f with separator");
   EXPECT_EQ(loaded.Lookup(2), "");
+}
+
+TEST(StringDictionaryTest, LoadRejectsDuplicateKey) {
+  // Blob "aa" cut into two entries "a", "a": ids must stay a bijection.
+  constexpr uint32_t kBase = 0x100;
+  auto copy = testutil::AmfRoundTrip<StringDictionary>(
+      [](amf::Writer* w) {
+        w->AddOwned<char>(kBase, {'a', 'a'});
+        w->AddOwned<uint64_t>(kBase + 1, {0, 1, 2});
+      },
+      [](const amf::Reader& r, StringDictionary* out) {
+        return out->LoadAmf(r, kBase);
+      });
+  ASSERT_FALSE(copy.ok());
+  EXPECT_TRUE(copy.status().IsCorruption()) << copy.status();
 }
 
 TEST(EncodedDatasetTest, LiteralsBecomeAttributes) {
@@ -118,10 +137,9 @@ TEST(EncodedDatasetTest, AttrPredicateDictionaryRoundTrips) {
   };
   auto encoded = EncodedDataset::Encode(triples);
   ASSERT_TRUE(encoded.ok());
-  std::stringstream ss;
-  encoded->dictionaries.Save(ss);
-  RdfDictionaries loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  auto copy = testutil::AmfCopy(encoded->dictionaries);
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  const RdfDictionaries& loaded = copy->value;
   EXPECT_EQ(loaded.attr_predicates().size(), 1u);
   EXPECT_EQ(loaded.AttrPredicateIri(0), "urn:age");
 }
@@ -182,10 +200,9 @@ TEST(RdfDictionariesTest, SaveLoadRoundTrip) {
   };
   auto encoded = EncodedDataset::Encode(triples);
   ASSERT_TRUE(encoded.ok());
-  std::stringstream ss;
-  encoded->dictionaries.Save(ss);
-  RdfDictionaries loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  auto copy = testutil::AmfCopy(encoded->dictionaries);
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  const RdfDictionaries& loaded = copy->value;
   EXPECT_EQ(loaded.vertices().size(), 2u);
   EXPECT_EQ(loaded.edge_types().size(), 1u);
   EXPECT_EQ(loaded.attributes().size(), 1u);

@@ -12,6 +12,7 @@
 #include "rdf/ntriples.h"
 #include "sparql/formatter.h"
 #include "sparql/parser.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace amber {
@@ -95,11 +96,16 @@ TEST_P(RoundTripFuzzTest, EnginePersistenceIdentity) {
   }
   auto engine = AmberEngine::Build(triples);
   ASSERT_TRUE(engine.ok()) << engine.status();
-  std::stringstream ss;
-  ASSERT_TRUE(engine->Save(ss).ok());
-  auto loaded = AmberEngine::Load(ss);
+  const std::string path = testutil::UniqueTempPath("fuzz");
+  ASSERT_TRUE(engine->SaveFile(path).ok());
+  auto loaded = AmberEngine::OpenFile(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->graph() == engine->graph());
+  for (VertexId v = 0; v < engine->graph().NumVertices(); ++v) {
+    EXPECT_EQ(loaded->dictionaries().VertexToken(v),
+              engine->dictionaries().VertexToken(v));
+  }
 
   // Same query, same answers, over hostile vocabularies.
   auto a = engine->CountSparql(

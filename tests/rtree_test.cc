@@ -4,11 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <sstream>
 #include <string>
 
 #include "index/rtree.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace amber {
@@ -140,10 +139,9 @@ TEST(RTreeTest, BulkAcceptPathIsExercised) {
 TEST(RTreeTest, SaveLoadRoundTrip) {
   std::vector<Synopsis> pts = RandomPoints(77, 3000, 10);
   SynopsisRTree tree = SynopsisRTree::Build(pts);
-  std::stringstream ss;
-  tree.Save(ss);
-  SynopsisRTree loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  auto copy = testutil::AmfCopy(tree);
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  const SynopsisRTree& loaded = copy->value;
   EXPECT_EQ(loaded.NumPoints(), tree.NumPoints());
   EXPECT_EQ(loaded.NumNodes(), tree.NumNodes());
   Rng rng(123);
@@ -160,25 +158,23 @@ TEST(RTreeTest, SaveLoadRoundTrip) {
 }
 
 TEST(RTreeTest, LoadRejectsEntryOutOfRange) {
-  // The dominance walk and its sort bitmap index by entry id, so a stream
-  // naming a point that does not exist must fail at Load.
+  // The dominance walk and its sort bitmap index by entry id, so an
+  // artifact naming a point that does not exist must fail at LoadAmf.
+  // Section ids 0x3000.. are the R-tree's (index/rtree.cc): meta {root},
+  // points, nodes, entries, child pool.
   Synopsis p;
   p.f = {1, 1, 1, 1, 1, 1, 1, 1};
-  SynopsisRTree tree = SynopsisRTree::Build(std::vector<Synopsis>{p});
-  std::stringstream ss;
-  tree.Save(ss);
-  std::string bytes = ss.str();
-  // Tail of a one-leaf tree: entries {0} (u32), child pool count 0 (u64),
-  // root (u32).
-  const size_t entry_at = bytes.size() - 4 - 8 - 4;
-  uint32_t entry = 0;
-  std::memcpy(&entry, bytes.data() + entry_at, sizeof entry);
-  ASSERT_EQ(entry, 0u);
-  entry = 7;
-  std::memcpy(bytes.data() + entry_at, &entry, sizeof entry);
-  std::stringstream corrupt(bytes);
-  SynopsisRTree loaded;
-  EXPECT_FALSE(loaded.Load(corrupt).ok());
+  auto loaded = testutil::AmfRoundTrip<SynopsisRTree>(
+      [&](amf::Writer* w) {
+        w->AddOwned<uint32_t>(0x3000, {0, 0});
+        w->AddOwned<Synopsis>(0x3001, {p});
+        w->AddOwned<uint32_t>(0x3002, {});
+        w->AddOwned<uint32_t>(0x3003, {7});
+        w->AddOwned<uint32_t>(0x3004, {});
+      },
+      [](const amf::Reader& r, SynopsisRTree* t) { return t->LoadAmf(r); });
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
 }
 
 TEST(RTreeTest, CustomFanoutStillExact) {

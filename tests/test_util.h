@@ -1,12 +1,18 @@
 // Shared helpers for the AMbER test suite: paper-example fixtures, random
-// dataset/query generators for property tests, and a term-level brute-force
-// reference evaluator used as the oracle for cross-engine agreement.
+// dataset/query generators for property tests, a term-level brute-force
+// reference evaluator used as the oracle for cross-engine agreement, and an
+// AMF round trip for the persisted components.
 
 #ifndef AMBER_TESTS_TEST_UTIL_H_
 #define AMBER_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
@@ -18,7 +24,10 @@
 #include "rdf/term.h"
 #include "sparql/ast.h"
 #include "sparql/filters.h"
+#include "util/amf.h"
+#include "util/mmap_file.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace amber {
 namespace testutil {
@@ -57,6 +66,56 @@ inline std::vector<uint32_t> CanonicalIds(std::vector<uint32_t> ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
+}
+
+/// Path of a fresh temp file, unique per process and per call: ctest runs
+/// each TEST as its own process under -j, so a fixed name would race.
+inline std::string UniqueTempPath(const std::string& tag) {
+  static std::atomic<uint64_t> counter{0};
+  return testing::TempDir() + "/amber_" + tag + "_" +
+         std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+         ".amf";
+}
+
+/// \brief A component restored from an AMF file, with the mapping its
+/// borrowed arrays point into. `mapping` is declared first, so it outlives
+/// `value`.
+template <typename T>
+struct AmfLoaded {
+  MappedFile mapping;
+  T value;
+};
+
+/// Round-trips a component through the production artifact path:
+/// `save(&writer)` adds its sections, amf::Writer::WriteTo writes the file,
+/// MappedFile::Open maps it, and `load(reader, &value)` restores the copy.
+/// The file is unlinked once mapped; the mapping stays valid.
+template <typename T, typename SaveFn, typename LoadFn>
+Result<AmfLoaded<T>> AmfRoundTrip(SaveFn save, LoadFn load) {
+  amf::Writer writer;
+  save(&writer);
+  const std::string path = UniqueTempPath("roundtrip");
+  Status written = writer.WriteTo(path);
+  if (!written.ok()) return written;
+  Result<MappedFile> file = MappedFile::Open(path);
+  std::remove(path.c_str());
+  if (!file.ok()) return file.status();
+  AmfLoaded<T> out{std::move(file).value(), T()};
+  AMBER_ASSIGN_OR_RETURN(amf::Reader reader,
+                         amf::Reader::Open(out.mapping.data()));
+  AMBER_RETURN_IF_ERROR(load(reader, &out.value));
+  return out;
+}
+
+/// AmfRoundTrip for the usual shape: `original.SaveAmf(w)`, then
+/// `value.LoadAmf(r, load_args...)`.
+template <typename T, typename... LoadArgs>
+Result<AmfLoaded<T>> AmfCopy(const T& original, LoadArgs... load_args) {
+  return AmfRoundTrip<T>(
+      [&](amf::Writer* w) { original.SaveAmf(w); },
+      [&](const amf::Reader& r, T* out) {
+        return out->LoadAmf(r, load_args...);
+      });
 }
 
 /// \brief Term-level brute-force evaluator of the paper's query model.

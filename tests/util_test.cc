@@ -1,16 +1,14 @@
 // Unit tests for the utility layer: Status/Result, string helpers, RNG and
-// Zipf sampling, deadlines, serialization primitives and the thread pool.
+// Zipf sampling, deadlines and the thread pool.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <thread>
 
 #include "core/exec.h"
 #include "util/clock.h"
 #include "util/random.h"
-#include "util/serde.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -194,121 +192,6 @@ TEST(StopwatchTest, MeasuresElapsed) {
   EXPECT_GE(sw.Elapsed().count(), 5000);  // at least 5 ms in microseconds
   sw.Reset();
   EXPECT_LT(sw.ElapsedMillis(), 5.0);
-}
-
-TEST(SerdeTest, PodAndStringRoundTrip) {
-  std::stringstream ss;
-  serde::WritePod<uint64_t>(ss, 0xDEADBEEFCAFEBABEull);
-  serde::WriteString(ss, "hello \x01 world");
-  std::vector<uint32_t> v = {1, 2, 3, 5, 8, 13};
-  serde::WriteVector(ss, v);
-
-  uint64_t u = 0;
-  ASSERT_TRUE(serde::ReadPod(ss, &u).ok());
-  EXPECT_EQ(u, 0xDEADBEEFCAFEBABEull);
-  std::string s;
-  ASSERT_TRUE(serde::ReadString(ss, &s).ok());
-  EXPECT_EQ(s, "hello \x01 world");
-  std::vector<uint32_t> v2;
-  ASSERT_TRUE(serde::ReadVector(ss, &v2).ok());
-  EXPECT_EQ(v2, v);
-}
-
-TEST(SerdeTest, TruncatedStreamIsCorruption) {
-  std::stringstream ss;
-  serde::WritePod<uint32_t>(ss, 7);
-  uint64_t big = 0;
-  EXPECT_TRUE(serde::ReadPod(ss, &big).IsCorruption());
-}
-
-TEST(SerdeTest, HeaderMismatchRejected) {
-  std::stringstream ss;
-  serde::WriteHeader(ss, 0x1234, 1);
-  EXPECT_TRUE(serde::CheckHeader(ss, 0x9999, 1).IsCorruption());
-  std::stringstream ss2;
-  serde::WriteHeader(ss2, 0x1234, 1);
-  EXPECT_TRUE(serde::CheckHeader(ss2, 0x1234, 2).IsCorruption());
-}
-
-// Corruption injection: forged lengths and truncated payloads must come
-// back as clean Status, never a crash or a giant allocation.
-
-TEST(SerdeCorruptionTest, VectorLengthMultiplyOverflowRejected) {
-  // n * sizeof(uint64_t) wraps around 2^64 to a tiny byte count; the
-  // overflow check has to fire before any resize.
-  std::stringstream ss;
-  serde::WritePod<uint64_t>(ss, (1ULL << 62) + 3);
-  std::vector<uint64_t> v;
-  Status s = serde::ReadVector(ss, &v);
-  EXPECT_TRUE(s.IsCorruption()) << s;
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(SerdeCorruptionTest, ImplausibleVectorLengthRejected) {
-  std::stringstream ss;
-  serde::WritePod<uint64_t>(ss, serde::kMaxPayloadBytes);  // > cap in bytes
-  std::vector<uint32_t> v;
-  EXPECT_TRUE(serde::ReadVector(ss, &v).IsCorruption());
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(SerdeCorruptionTest, OversizedLengthOnTruncatedStreamStaysBounded) {
-  // A "plausible" but huge length (256 MiB of elements) over a 12-byte
-  // payload: the chunked reader must fail after at most one chunk, not
-  // allocate the full claimed size.
-  std::stringstream ss;
-  serde::WritePod<uint64_t>(ss, (256ULL << 20) / sizeof(uint32_t));
-  serde::WritePod<uint32_t>(ss, 1);
-  serde::WritePod<uint64_t>(ss, 2);
-  std::vector<uint32_t> v;
-  EXPECT_TRUE(serde::ReadVector(ss, &v).IsCorruption());
-  EXPECT_LE(v.capacity() * sizeof(uint32_t), 2 * serde::kReadChunkBytes);
-}
-
-TEST(SerdeCorruptionTest, TruncatedVectorPayloadRejected) {
-  std::stringstream good;
-  std::vector<uint32_t> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  serde::WriteVector(good, v);
-  std::string bytes = good.str();
-  for (size_t keep : {bytes.size() - 1, bytes.size() / 2, size_t{9}}) {
-    std::stringstream truncated(bytes.substr(0, keep));
-    std::vector<uint32_t> out;
-    EXPECT_TRUE(serde::ReadVector(truncated, &out).IsCorruption())
-        << "accepted truncation to " << keep;
-  }
-}
-
-TEST(SerdeCorruptionTest, OversizedStringLengthRejected) {
-  std::stringstream ss;
-  serde::WritePod<uint64_t>(ss, serde::kMaxPayloadBytes + 1);
-  std::string s;
-  EXPECT_TRUE(serde::ReadString(ss, &s).IsCorruption());
-
-  std::stringstream truncated;
-  serde::WritePod<uint64_t>(truncated, 1ULL << 30);  // 1 GiB claimed
-  truncated << "short";
-  std::string out;
-  EXPECT_TRUE(serde::ReadString(truncated, &out).IsCorruption());
-  EXPECT_LE(out.capacity(), 2 * serde::kReadChunkBytes);
-}
-
-TEST(SerdeCorruptionTest, ChunkedReadRoundTripsLargePayload) {
-  // A payload larger than one read chunk must still round-trip intact.
-  std::vector<uint64_t> v((serde::kReadChunkBytes / sizeof(uint64_t)) + 777);
-  for (size_t i = 0; i < v.size(); ++i) v[i] = i * 2654435761u;
-  std::stringstream ss;
-  serde::WriteVector(ss, v);
-  std::vector<uint64_t> out;
-  ASSERT_TRUE(serde::ReadVector(ss, &out).ok());
-  EXPECT_EQ(out, v);
-
-  std::string s(serde::kReadChunkBytes + 123, 'x');
-  s[serde::kReadChunkBytes] = 'y';
-  std::stringstream ss2;
-  serde::WriteString(ss2, s);
-  std::string s2;
-  ASSERT_TRUE(serde::ReadString(ss2, &s2).ok());
-  EXPECT_EQ(s2, s);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

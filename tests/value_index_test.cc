@@ -1,12 +1,11 @@
 // Unit tests for the ValueIndex: typed-value classification, numeric and
 // string range scans (bounds, exclusions, dedup), selectivity estimates,
-// residual vertex checks, stream round trip, and AMF corruption discipline.
+// residual vertex checks, AMF round trip, and AMF corruption discipline.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "core/amber_engine.h"
 #include "index/value_index.h"
@@ -172,19 +171,11 @@ TEST(ValueIndexTest, VertexMatchesIsResidualTruth) {
   }
 }
 
-TEST(ValueIndexTest, StreamRoundTrip) {
+TEST(ValueIndexTest, AmfRoundTrip) {
   Fixture f = MakeFixture();
-  std::stringstream ss;
-  f.index.Save(ss);
-  ValueIndex loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
-  EXPECT_TRUE(loaded == f.index);
-
-  std::string full = ss.str();
-  f.index.Save(ss);
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  ValueIndex bad;
-  EXPECT_FALSE(bad.Load(truncated).ok());
+  auto loaded = testutil::AmfCopy(f.index, f.graph.NumVertices());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->value == f.index);
 }
 
 // AMF corruption: flipping a value-index section's contents must surface
