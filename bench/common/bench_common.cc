@@ -34,7 +34,6 @@ BenchConfig BenchConfig::FromEnv() {
   config.scale = EnvDouble("AMBER_BENCH_SCALE", 1.0);
   config.queries_per_point = EnvInt("AMBER_BENCH_QUERIES", 12);
   config.timeout_ms = EnvInt("AMBER_BENCH_TIMEOUT_MS", 1000);
-  config.exec_threads = std::max(1, EnvInt("AMBER_BENCH_EXEC_THREADS", 1));
   if (const char* sizes = std::getenv("AMBER_BENCH_SIZES")) {
     config.sizes.clear();
     for (std::string_view piece : StrSplit(sizes, ',')) {
@@ -123,7 +122,7 @@ std::vector<std::vector<std::string>> MakeWorkloads(
 
 std::vector<SeriesPoint> RunSeries(
     QueryEngine* engine, const std::vector<std::vector<std::string>>& queries,
-    const std::vector<int>& sizes, int timeout_ms, int exec_threads) {
+    const std::vector<int>& sizes, int timeout_ms) {
   std::vector<SeriesPoint> series;
   bool dead = false;  // fully timed out at a previous size
   for (size_t i = 0; i < sizes.size(); ++i) {
@@ -139,7 +138,6 @@ std::vector<SeriesPoint> RunSeries(
     for (const std::string& text : queries[i]) {
       ExecOptions options;
       options.timeout = std::chrono::milliseconds(timeout_ms);
-      options.num_threads = exec_threads;
       auto result = engine->CountSparql(text, options);
       if (!result.ok()) continue;  // counted as unanswered
       if (result->stats.timed_out) continue;
@@ -250,10 +248,9 @@ void WriteSeriesJson(const std::string& figure_title,
 void RunShapeFigure(const std::string& figure_title,
                     const std::string& dataset_name, QueryShape shape) {
   BenchConfig config = BenchConfig::FromEnv();
-  std::fprintf(stderr,
-               "[%s] scale=%.2f queries/point=%d timeout=%dms exec_threads=%d\n",
+  std::fprintf(stderr, "[%s] scale=%.2f queries/point=%d timeout=%dms\n",
                figure_title.c_str(), config.scale, config.queries_per_point,
-               config.timeout_ms, config.exec_threads);
+               config.timeout_ms);
   DatasetBundle dataset = MakeDataset(dataset_name, config.scale);
   std::fprintf(stderr, "  dataset %s: %zu triples\n", dataset.name.c_str(),
                dataset.triples.size());
@@ -264,8 +261,8 @@ void RunShapeFigure(const std::string& figure_title,
   std::vector<std::vector<SeriesPoint>> series;
   for (QueryEngine* engine : engines) {
     std::fprintf(stderr, "  running %s...\n", engine->name().c_str());
-    series.push_back(RunSeries(engine, workloads, config.sizes,
-                               config.timeout_ms, config.exec_threads));
+    series.push_back(
+        RunSeries(engine, workloads, config.sizes, config.timeout_ms));
   }
   std::printf(
       "\nEngine analogues (docs/ARCHITECTURE.md, \"Baselines\"): "

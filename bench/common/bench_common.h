@@ -13,10 +13,6 @@
 //   AMBER_BENCH_QUERIES     queries per point           (default 12)
 //   AMBER_BENCH_TIMEOUT_MS  per-query budget            (default 1000)
 //   AMBER_BENCH_SIZES       comma list of query sizes   (default 10..50)
-//   AMBER_BENCH_EXEC_THREADS  ExecOptions::num_threads for every measured
-//                           query (default 1 = serial; >1 exercises the
-//                           parallel online stage; baseline engines ignore
-//                           the knob)
 //   AMBER_BENCH_JSON_DIR    if set, additionally write a machine-readable
 //                           BENCH_<slug>.json result file into this
 //                           directory (the perf-trajectory convention of
@@ -43,7 +39,6 @@ struct BenchConfig {
   int queries_per_point = 12;
   int timeout_ms = 1000;
   std::vector<int> sizes = {10, 20, 30, 40, 50};
-  int exec_threads = 1;
 
   static BenchConfig FromEnv();
 };
@@ -85,11 +80,9 @@ struct SeriesPoint {
 };
 
 /// Runs the Section 7.3 protocol for one engine over per-size query sets.
-/// `exec_threads` > 1 runs every query with that many online-stage worker
-/// threads (AMbER's parallel mode; other engines ignore the option).
 std::vector<SeriesPoint> RunSeries(
     QueryEngine* engine, const std::vector<std::vector<std::string>>& queries,
-    const std::vector<int>& sizes, int timeout_ms, int exec_threads = 1);
+    const std::vector<int>& sizes, int timeout_ms);
 
 /// Generates per-size workloads for a dataset.
 std::vector<std::vector<std::string>> MakeWorkloads(

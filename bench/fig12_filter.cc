@@ -88,7 +88,6 @@ int main() {
       for (const std::string& text : workloads[i]) {
         ExecOptions options;
         options.timeout = std::chrono::milliseconds(config.timeout_ms);
-        options.num_threads = config.exec_threads;
         options.use_value_index = (m == 0);
         auto r = engine->CountSparql(text, options);
         if (!r.ok() || r->stats.timed_out) continue;

@@ -2,11 +2,6 @@
 // patterns on DBPEDIA, per engine. (Paper: AMbER 1.56s, gStore 11.96s,
 // Virtuoso 20.45s, x-RDF-3X >60s over 200 queries at full scale — we check
 // the *ordering*, not the absolute numbers.)
-//
-// Beyond the paper: the emitted JSON also carries an AMbER online-stage
-// thread sweep (series "AMbER-2t"/"AMbER-4t") so the parallel mode's
-// headline speedup is tracked next to the engine comparison. The base
-// engine rows honour AMBER_BENCH_EXEC_THREADS (default 1 = serial).
 
 #include <cstdio>
 
@@ -31,12 +26,10 @@ int main() {
   std::printf("%-14s %14s %14s %12s\n", "engine", "avg time (ms)",
               "% unanswered", "answered");
   std::vector<QueryEngine*> engines = suite.All();
-  std::vector<std::string> series_names;
   std::vector<std::vector<SeriesPoint>> all_series;
   for (QueryEngine* engine : engines) {
-    series_names.push_back(engine->name());
-    all_series.push_back(RunSeries(engine, workloads, config.sizes,
-                                   config.timeout_ms, config.exec_threads));
+    all_series.push_back(
+        RunSeries(engine, workloads, config.sizes, config.timeout_ms));
     const SeriesPoint& p = all_series.back()[0];
     if (p.answered > 0) {
       std::printf("%-14s %14.3f %13.1f%% %8d/%d\n", engine->name().c_str(),
@@ -47,41 +40,9 @@ int main() {
     }
   }
 
-  // Parallel online-stage sweep: the same AMbER engine and workload at 2
-  // and 4 worker threads (rows are bit-identical to serial by contract;
-  // bench/ablation_parallel.cc is the dedicated sweep with determinism
-  // checks). The base AMbER row honours AMBER_BENCH_EXEC_THREADS, so when
-  // that knob is >1 an explicit 1-thread series is added to keep the
-  // "vs serial" comparison honest.
-  double serial_ms = all_series[0][0].avg_ms;
-  if (config.exec_threads != 1) {
-    series_names.push_back("AMbER-1t");
-    all_series.push_back(RunSeries(suite.amber.get(), workloads, config.sizes,
-                                   config.timeout_ms, /*exec_threads=*/1));
-    const SeriesPoint& p = all_series.back()[0];
-    serial_ms = p.avg_ms;
-    if (p.answered > 0) {
-      std::printf("%-14s %14.3f %13.1f%% %8d/%d\n",
-                  series_names.back().c_str(), p.avg_ms, p.unanswered_pct,
-                  p.answered, p.total);
-    }
-  }
-  for (int threads : {2, 4}) {
-    series_names.push_back("AMbER-" + std::to_string(threads) + "t");
-    all_series.push_back(RunSeries(suite.amber.get(), workloads, config.sizes,
-                                   config.timeout_ms, threads));
-    const SeriesPoint& p = all_series.back()[0];
-    if (p.answered > 0) {
-      std::printf("%-14s %14.3f %13.1f%% %8d/%d  (%.2fx vs serial)\n",
-                  series_names.back().c_str(), p.avg_ms, p.unanswered_pct,
-                  p.answered, p.total,
-                  p.avg_ms > 0 ? serial_ms / p.avg_ms : 0.0);
-    }
-  }
-
   std::printf("\nExpected shape (paper Table 1): AMbER fastest by a wide "
               "margin; graph baseline next; join-based stores slowest or "
               "timing out.\n");
-  WriteSeriesJson("Table 1 headline", series_names, all_series, config);
+  WriteSeriesJson("Table 1 headline", engines, all_series, config);
   return 0;
 }

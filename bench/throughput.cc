@@ -3,11 +3,10 @@
 //
 // N concurrent clients (swept over AMBER_BENCH_CLIENTS, default
 // 1,2,4,8,16,32,64) each issue requests back-to-back for a fixed wall
-// window, against these configurations at EQUAL per-query thread count:
+// window, against these configurations (every query executes serially):
 //
 //   service-pooled   QueryService with the cache bypassed: every request
-//                    executes, borrowing helpers from the one persistent
-//                    pool (ExecOptions::pool).
+//                    executes on its client thread.
 //   service-cached   QueryService with the plan/result cache on: the
 //                    steady-state repeat-heavy serving mix.
 //   service-streaming
@@ -30,10 +29,10 @@
 //                    One series per AMBER_BENCH_FAULT_RATE entry: the
 //                    cache-bypassed service under a seeded R% transient
 //                    fault probability at the service.execute site, with
-//                    deadline-aware retries (2, 1ms initial backoff) and
-//                    overload shedding enabled. The robustness floor the
-//                    gate defends: the runtime must keep answering —
-//                    degraded qps, not a collapse to zero.
+//                    deadline-aware retries (2, 1ms initial backoff)
+//                    enabled. The robustness floor the gate defends: the
+//                    runtime must keep answering — degraded qps, not a
+//                    collapse to zero.
 //
 // A second, fixed-workload section measures BYTES ON THE WIRE: one
 // star query per satellite count (2 / 4 / 6 extra satellite patterns over
@@ -50,7 +49,7 @@
 // p50_ms / p99_ms attached to every point; tools/bench_diff.py gates qps.
 //
 // Env knobs (bench_common.h): AMBER_BENCH_SCALE / _QUERIES / _TIMEOUT_MS /
-// _SIZES / _EXEC_THREADS / _JSON_DIR, plus:
+// _SIZES / _JSON_DIR, plus:
 //   AMBER_BENCH_CLIENTS      comma list of client counts (default
 //                            1,2,4,8,16,32,64)
 //   AMBER_BENCH_DURATION_MS  measured window per point (default 1000)
@@ -211,12 +210,8 @@ void WriteThroughputJson(
 int main() {
   BenchConfig config = BenchConfig::FromEnv();
   // Throughput defaults (overridable by the usual env knobs): small fast
-  // queries — a serving mix, not the paper's heavyweight figure shapes —
-  // and 2 online threads per query so pool reuse actually has helpers to
-  // hand out.
+  // queries — a serving mix, not the paper's heavyweight figure shapes.
   if (std::getenv("AMBER_BENCH_SIZES") == nullptr) config.sizes = {4, 6};
-  if (std::getenv("AMBER_BENCH_EXEC_THREADS") == nullptr)
-    config.exec_threads = 2;
 
   std::vector<int> client_counts = {1, 2, 4, 8, 16, 32, 64};
   if (const char* env = std::getenv("AMBER_BENCH_CLIENTS")) {
@@ -249,10 +244,8 @@ int main() {
   }
 
   DatasetBundle dataset = MakeDataset("LUBM", config.scale);
-  std::fprintf(stderr,
-               "[Throughput] dataset: %zu triples, %d exec threads/query, "
-               "%lld ms/point\n",
-               dataset.triples.size(), config.exec_threads,
+  std::fprintf(stderr, "[Throughput] dataset: %zu triples, %lld ms/point\n",
+               dataset.triples.size(),
                static_cast<long long>(window.count()));
   auto built = AmberEngine::Build(dataset.triples);
   if (!built.ok()) {
@@ -272,16 +265,11 @@ int main() {
     return 1;
   }
 
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const int max_clients =
       *std::max_element(client_counts.begin(), client_counts.end());
   ServiceOptions service_options;
-  service_options.pool_threads =
-      std::clamp(hw > 0 ? hw - 1 : 1, 1, 16);
   service_options.max_in_flight = max_clients;  // admission never rejects
   service_options.max_queued = max_clients;
-  service_options.default_thread_budget = config.exec_threads;
-  service_options.max_thread_budget = config.exec_threads;
   service_options.cache_entries = 2 * queries.size();
   service_options.max_result_rows = max_rows;
   service_options.default_deadline =
@@ -297,7 +285,7 @@ int main() {
   for (int clients : client_counts) {
     std::fprintf(stderr, "  %d clients...\n", clients);
 
-    {  // service-pooled: every request executes on the persistent pool.
+    {  // service-pooled: every request executes, in process.
       QueryService service(&engine, service_options);
       series[0].push_back(RunPoint(clients, window, queries.size(),
                                    [&](size_t qi) {
@@ -343,15 +331,11 @@ int main() {
       series[2].push_back(point);
     }
     {  // service-http: the same closed loop through the loopback HTTP
-       // transport. Connection handlers park on the service pool, so the
-       // pool is sized to the client count plus the spare worker the
-       // capacity invariant requires; budget 1 (no borrowed helpers).
-      ServiceOptions http_options = service_options;
-      http_options.pool_threads = clients + 1;
-      http_options.default_thread_budget = 1;
-      http_options.max_thread_budget = 1;
-      QueryService service(&engine, http_options);
-      HttpServer server(&service);
+       // transport, one connection handler per client.
+      QueryService service(&engine, service_options);
+      HttpServerOptions http_options;
+      http_options.max_connections = clients;
+      HttpServer server(&service, http_options);
       if (Status s = server.Start(); !s.ok()) {
         std::fprintf(stderr, "http server: %s\n", s.ToString().c_str());
         series[3].push_back(ThroughputPoint{clients});
@@ -382,13 +366,12 @@ int main() {
     }
     for (size_t f = 0; f < fault_rates.size(); ++f) {
       // service-degraded: the cache-bypassed service under a seeded R%
-      // transient fault probability at service.execute, with retries and
-      // shedding on. "answered" here counts requests that survived the
-      // faults — the robustness floor the diff gate defends.
+      // transient fault probability at service.execute, with retries on.
+      // "answered" here counts requests that survived the faults — the
+      // robustness floor the diff gate defends.
       ServiceOptions degraded = service_options;
       degraded.max_retries = 2;
       degraded.initial_backoff = std::chrono::milliseconds(1);
-      degraded.shed_high_water = std::max(1, clients / 2);
       QueryService service(&engine, degraded);
       std::optional<ScopedFault> fault;
       if (fault_rates[f] > 0) {
@@ -408,9 +391,8 @@ int main() {
     }
   }
 
-  std::printf("\nServing throughput (closed loop, %zu-query star mix, "
-              "%d online threads/query)\n",
-              queries.size(), config.exec_threads);
+  std::printf("\nServing throughput (closed loop, %zu-query star mix)\n",
+              queries.size());
   std::printf("%-10s", "clients");
   for (const std::string& n : names) {
     std::printf("  %16s", (n + " qps").c_str());
@@ -457,9 +439,7 @@ int main() {
     auto star_built = AmberEngine::Build(star);
     if (star_built.ok()) {
       AmberEngine star_engine = std::move(star_built).value();
-      ServiceOptions wire_options;
-      wire_options.pool_threads = 4;
-      QueryService service(&star_engine, wire_options);
+      QueryService service(&star_engine, ServiceOptions());
       HttpServer server(&service);
       if (Status s = server.Start(); s.ok()) {
         HttpClient client(server.port());

@@ -85,22 +85,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   ServiceOptions service_options;
-  service_options.pool_threads = 6;     // one persistent pool, all requests
   service_options.max_in_flight = 8;    // admission: execute at most 8
   service_options.max_queued = 16;      // ... queue 16 more, then reject
   service_options.cache_entries = 64;   // normalized plan/result LRU
   service_options.default_deadline = std::chrono::milliseconds(1000);
   QueryService service(&engine.value(), service_options);
 
-  HttpServer server(&service);  // port 0: the OS picks, port() reads back
+  HttpServerOptions server_options;  // port 0: the OS picks, port() reads back
+  server_options.max_connections = 5;  // one pool worker per connection
+  HttpServer server(&service, server_options);
   if (Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "server error: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("server: booted in %.2f ms — %zu vertices mapped, pool of %d "
-              "workers, listening on 127.0.0.1:%u\n",
+  std::printf("server: booted in %.2f ms — %zu vertices mapped, %d "
+              "connection workers, listening on 127.0.0.1:%u\n",
               sw.ElapsedMillis(), engine->graph().NumVertices(),
-              service_options.pool_threads, server.port());
+              server_options.max_connections, server.port());
 
   // A request body on the wire schema (server/wire.h).
   auto body = [](const char* text, uint64_t offset, uint64_t limit) {

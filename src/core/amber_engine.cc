@@ -2,7 +2,6 @@
 
 #include "core/factorized.h"
 #include "core/matcher.h"
-#include "core/parallel_exec.h"
 #include "core/query_plan.h"
 #include "rdf/ntriples.h"
 #include "util/amf.h"
@@ -13,30 +12,41 @@
 namespace amber {
 
 namespace {
-/// Serial streaming sink: forwards rows to `deliver` as the matcher finds
-/// them, deduplicating (DISTINCT) and capping on delivered rows. The cap
-/// counts rows the consumer accepted, so truncation means exactly "cap
-/// delivered".
+/// Streaming sink: translates rows via Mv^-1 and forwards them to the
+/// caller's RowSink as the matcher finds them, deduplicating (DISTINCT) and
+/// capping on delivered rows. The cap counts rows the consumer accepted,
+/// so truncation means exactly "cap delivered".
 class StreamingSink : public EmbeddingSink {
  public:
-  StreamingSink(bool dedup, uint64_t cap,
-                const std::function<bool(std::span<const VertexId>)>& deliver)
-      : dedup_(dedup), cap_(cap), deliver_(deliver) {}
+  StreamingSink(bool dedup, uint64_t cap, const RdfDictionaries& dicts,
+                RowSink* out)
+      : dedup_(dedup), cap_(cap), dicts_(dicts), out_(out) {}
 
   bool wants_rows() const override { return true; }
   bool OnRow(std::span<const VertexId> row) override {
     if (dedup_ && !seen_.insert(RowDedupKey(row)).second) return true;
-    if (!deliver_(row)) return false;
-    ++count_;
-    return cap_ == 0 || count_ < cap_;
+    row_text_.clear();
+    for (VertexId v : row) row_text_.emplace_back(dicts_.VertexToken(v));
+    if (!out_->OnRow(row_text_)) {
+      sink_stopped_ = true;
+      return false;
+    }
+    ++delivered_;
+    return cap_ == 0 || delivered_ < cap_;
   }
   bool OnCount(uint64_t) override { return true; }  // row mode only
+
+  uint64_t delivered() const { return delivered_; }
+  bool sink_stopped() const { return sink_stopped_; }
 
  private:
   bool dedup_;
   uint64_t cap_;
-  const std::function<bool(std::span<const VertexId>)>& deliver_;
-  uint64_t count_ = 0;
+  const RdfDictionaries& dicts_;
+  RowSink* out_;
+  uint64_t delivered_ = 0;
+  bool sink_stopped_ = false;
+  std::vector<std::string> row_text_;  // reused across rows
   std::unordered_set<std::string> seen_;
 };
 }  // namespace
@@ -100,45 +110,22 @@ Result<uint64_t> AmberEngine::Execute(
                                                        : nullptr,
                                graph_.NumVertices());
 
-    // The parallel mode covers every execution shape except fully ground
-    // queries (no components => nothing to partition): results are
-    // bit-identical to serial by the deterministic chunk-order merge of
-    // parallel_exec.h.
-    const bool parallel =
-        options.num_threads > 1 && !plan.components.empty();
+    Matcher matcher(graph_, indexes_, qg, plan, options);
     if (materialize_into != nullptr &&
         UseFactorizedForm(options.result_form, plan)) {
       // Factorized route to the same flat rows: collect the answer graph,
       // then expand lazily up to the cap. Row order and truncation match
       // the direct sinks by construction (docs/ARCHITECTURE.md,
       // "Factorized answer graphs").
-      const uint32_t num_slots =
-          static_cast<uint32_t>(qg.projection().size());
-      std::vector<uint32_t> slot_list =
-          BuildSlotList(qg.projection(), plan.is_core);
-      FactorizedResult fact;
-      if (parallel) {
-        ParallelFactorizeRequest req;
-        req.num_slots = num_slots;
-        req.slot_list = slot_list;
-        req.out = &fact;
-        AMBER_ASSIGN_OR_RETURN(
-            ParallelRunResult pr,
-            RunMatcherParallel(graph_, indexes_, qg, plan, options, cap,
-                               stats, nullptr, nullptr, &req));
-        stats->rows_expanded += req.rows_expanded;
-        stats->truncated = stats->truncated || pr.truncated;
-      } else {
-        Matcher matcher(graph_, indexes_, qg, plan, options);
-        FactorizedBuilder builder(num_slots, slot_list, qg.distinct(), cap);
-        FactorizedSink fsink(&builder);
-        AMBER_RETURN_IF_ERROR(
-            matcher.Run(&fsink, stats, std::nullopt,
-                        /*bag_multiplicity=*/!qg.distinct()));
-        stats->rows_expanded += builder.rows_expanded();
-        fact = builder.Finish();
-        stats->truncated = stats->truncated || fact.truncated;
-      }
+      FactorizedBuilder builder(
+          static_cast<uint32_t>(qg.projection().size()),
+          BuildSlotList(qg.projection(), plan.is_core), qg.distinct(), cap);
+      FactorizedSink fsink(&builder);
+      AMBER_RETURN_IF_ERROR(
+          matcher.Run(&fsink, stats, /*bag_multiplicity=*/!qg.distinct()));
+      stats->rows_expanded += builder.rows_expanded();
+      FactorizedResult fact = builder.Finish();
+      stats->truncated = stats->truncated || fact.truncated;
       stats->bytes_factorized += fact.ByteSize();
       FactorizedResult::Cursor cur = fact.Expand();
       while ((cap == 0 || materialize_into->size() < cap) && cur.Next()) {
@@ -146,38 +133,28 @@ Result<uint64_t> AmberEngine::Execute(
       }
       stats->rows_expanded += cur.rows_expanded();
       rows = materialize_into->size();
-    } else if (parallel) {
-      AMBER_ASSIGN_OR_RETURN(
-          ParallelRunResult pr,
-          RunMatcherParallel(graph_, indexes_, qg, plan, options, cap, stats,
-                             materialize_into));
-      rows = pr.rows;
-      stats->truncated = stats->truncated || pr.truncated;
-    } else {
-      Matcher matcher(graph_, indexes_, qg, plan, options);
-      if (materialize_into != nullptr) {
-        if (qg.distinct()) {
-          DistinctSink sink(/*keep_rows=*/true, cap);
-          AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats, std::nullopt,
-                                            /*bag_multiplicity=*/false));
-          *materialize_into = sink.TakeRows();
-          rows = sink.count();
-        } else {
-          CollectingSink sink(cap);
-          AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats));
-          *materialize_into = std::move(sink.TakeRows());
-          rows = materialize_into->size();
-        }
-      } else if (qg.distinct()) {
-        DistinctSink sink(/*keep_rows=*/false, cap);
-        AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats, std::nullopt,
-                                          /*bag_multiplicity=*/false));
+    } else if (materialize_into != nullptr) {
+      if (qg.distinct()) {
+        DistinctSink sink(/*keep_rows=*/true, cap);
+        AMBER_RETURN_IF_ERROR(
+            matcher.Run(&sink, stats, /*bag_multiplicity=*/false));
+        *materialize_into = sink.TakeRows();
         rows = sink.count();
       } else {
-        CountingSink sink(cap);
+        CollectingSink sink(cap);
         AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats));
-        rows = sink.count();
+        *materialize_into = std::move(sink.TakeRows());
+        rows = materialize_into->size();
       }
+    } else if (qg.distinct()) {
+      DistinctSink sink(/*keep_rows=*/false, cap);
+      AMBER_RETURN_IF_ERROR(
+          matcher.Run(&sink, stats, /*bag_multiplicity=*/false));
+      rows = sink.count();
+    } else {
+      CountingSink sink(cap);
+      AMBER_RETURN_IF_ERROR(matcher.Run(&sink, stats));
+      rows = sink.count();
     }
   }
 
@@ -270,33 +247,18 @@ Result<FactorizedRows> AmberEngine::Factorize(const SelectQuery& query,
   // not pass through Execute, so it owns the transient-fault site.
   AMBER_RETURN_IF_ERROR(
       FaultInjector::Global().Inject(faults::kEngineExecute));
-  std::vector<uint32_t> slot_list =
-      BuildSlotList(qg.projection(), plan.is_core);
-  const bool parallel = options.num_threads > 1 && !plan.components.empty();
-  if (parallel) {
-    ParallelFactorizeRequest req;
-    req.num_slots = num_slots;
-    req.slot_list = slot_list;
-    req.out = &out.result;
-    AMBER_ASSIGN_OR_RETURN(
-        ParallelRunResult pr,
-        RunMatcherParallel(graph_, indexes_, qg, plan, options, cap,
-                           &out.stats, nullptr, nullptr, &req));
-    out.stats.rows = pr.rows;
-    out.stats.truncated = out.stats.truncated || pr.truncated;
-    out.stats.rows_expanded += req.rows_expanded;
-  } else {
-    Matcher matcher(graph_, indexes_, qg, plan, options);
-    FactorizedBuilder builder(num_slots, slot_list, qg.distinct(), cap);
-    FactorizedSink fsink(&builder);
-    AMBER_RETURN_IF_ERROR(matcher.Run(&fsink, &out.stats, std::nullopt,
-                                      /*bag_multiplicity=*/!qg.distinct()));
-    out.stats.rows_expanded += builder.rows_expanded();
-    out.result = builder.Finish();
-    out.stats.rows = cap == 0 ? out.result.total_rows
-                              : std::min(out.result.total_rows, cap);
-    out.stats.truncated = out.stats.truncated || out.result.truncated;
-  }
+  Matcher matcher(graph_, indexes_, qg, plan, options);
+  FactorizedBuilder builder(num_slots,
+                            BuildSlotList(qg.projection(), plan.is_core),
+                            qg.distinct(), cap);
+  FactorizedSink fsink(&builder);
+  AMBER_RETURN_IF_ERROR(matcher.Run(&fsink, &out.stats,
+                                    /*bag_multiplicity=*/!qg.distinct()));
+  out.stats.rows_expanded += builder.rows_expanded();
+  out.result = builder.Finish();
+  out.stats.rows = cap == 0 ? out.result.total_rows
+                            : std::min(out.result.total_rows, cap);
+  out.stats.truncated = out.stats.truncated || out.result.truncated;
   out.stats.bytes_factorized += out.result.ByteSize();
   out.stats.elapsed_ms = sw.ElapsedMillis();
   return out;
@@ -318,49 +280,23 @@ Result<StreamResult> AmberEngine::Stream(const SelectQuery& query,
     out.var_names.push_back(qg.vertices()[u].name);
   }
 
-  // Translation + forwarding. Never invoked concurrently (the serial
-  // matcher is single-threaded; the parallel fan-in serializes its
-  // emitter), so one reusable text buffer suffices.
-  uint64_t delivered = 0;
-  std::vector<std::string> row_text;
-  auto deliver = [&](std::span<const VertexId> row) -> bool {
-    row_text.clear();
-    for (VertexId v : row) row_text.emplace_back(dicts_.VertexToken(v));
-    if (!sink->OnRow(row_text)) {
-      out.sink_stopped = true;
-      return false;
-    }
-    ++delivered;
-    return true;
-  };
-  const std::function<bool(std::span<const VertexId>)> deliver_fn = deliver;
-
   if (!qg.unsatisfiable()) {
     QueryPlan plan = PlanQuery(qg, options.plan,
                                options.use_value_index ? &indexes_.value
                                                        : nullptr,
                                graph_.NumVertices());
-    const bool parallel =
-        options.num_threads > 1 && !plan.components.empty();
-    if (parallel) {
-      ParallelStreamSink stream{deliver_fn};
-      AMBER_RETURN_IF_ERROR(
-          RunMatcherParallel(graph_, indexes_, qg, plan, options, cap,
-                             &out.stats, nullptr, &stream)
-              .status());
-    } else {
-      Matcher matcher(graph_, indexes_, qg, plan, options);
-      StreamingSink ssink(qg.distinct(), cap, deliver_fn);
-      AMBER_RETURN_IF_ERROR(matcher.Run(&ssink, &out.stats, std::nullopt,
-                                        /*bag_multiplicity=*/!qg.distinct()));
-    }
+    Matcher matcher(graph_, indexes_, qg, plan, options);
+    StreamingSink ssink(qg.distinct(), cap, dicts_, sink);
+    AMBER_RETURN_IF_ERROR(matcher.Run(&ssink, &out.stats,
+                                      /*bag_multiplicity=*/!qg.distinct()));
+    out.rows = ssink.delivered();
+    out.sink_stopped = ssink.sink_stopped();
   }
 
-  out.rows = delivered;
-  out.stats.rows = delivered;
+  out.stats.rows = out.rows;
   // Uniform truncation semantics for streams: set exactly when the cap
   // stopped delivery (a sink stop or an interrupt is NOT a truncation).
-  out.stats.truncated = cap != 0 && delivered >= cap;
+  out.stats.truncated = cap != 0 && out.rows >= cap;
   out.stats.elapsed_ms = sw.ElapsedMillis();
   return out;
 }

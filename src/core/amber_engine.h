@@ -67,9 +67,8 @@ class AmberEngine : public QueryEngine {
                                        const ExecOptions& options) override;
 
   /// True incremental streaming: rows leave through `sink` as the matcher
-  /// finds them (serial path) or as the ordered parallel fan-in drains
-  /// them (stream mode of parallel_exec.h), in exact Materialize order,
-  /// with peak memory bounded by the chunk buffers instead of the result.
+  /// finds them, in exact Materialize order, with peak memory independent
+  /// of the result size.
   Result<StreamResult> Stream(const SelectQuery& query,
                               const ExecOptions& options,
                               RowSink* sink) override;

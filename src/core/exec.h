@@ -21,8 +21,6 @@
 
 namespace amber {
 
-class ThreadPool;  // util/thread_pool.h
-
 /// Result representation an execution produces (docs/ARCHITECTURE.md,
 /// "Factorized answer graphs").
 enum class ResultForm : uint8_t {
@@ -49,33 +47,9 @@ struct ExecOptions {
 
   /// Cooperative cancellation (util/cancellation.h). A cancelled query
   /// unwinds within one matcher tick window (~64 recursion steps) exactly
-  /// like a deadline expiry, reporting ExecStats::cancelled; parallel
-  /// chunks not yet claimed are never started. The default token can never
-  /// fire and costs one pointer compare per tick.
+  /// like a deadline expiry, reporting ExecStats::cancelled. The default
+  /// token can never fire and costs one pointer compare per tick.
   CancellationToken cancel;
-
-  /// Streaming mode only: rows a non-head parallel chunk may buffer before
-  /// its producer blocks for the ordered stream to catch up (bounded-memory
-  /// backpressure; docs/ARCHITECTURE.md, "Streaming & cancellation").
-  /// Ignored on the materializing and serial paths. Min 1.
-  uint64_t stream_chunk_buffer_rows = 4096;
-
-  /// Number of worker threads for root-candidate partitioning (>1 enables
-  /// the parallel mode; the paper lists this as future work). The parallel
-  /// mode covers SELECT, DISTINCT, LIMIT and materialization, and returns
-  /// rows bit-identical to serial execution (deterministic chunk-order
-  /// merge; see docs/ARCHITECTURE.md, "The parallel online stage").
-  int num_threads = 1;
-
-  /// When non-null, the parallel mode borrows its helper workers from this
-  /// externally owned pool instead of spawning a transient one per query
-  /// (thread spawn is ~0.1 ms — visible on microsecond queries). The pool
-  /// is shared: helpers are plain Submit() tasks and completion is tracked
-  /// per query, so many concurrent queries can borrow the same pool (the
-  /// server/query_service.h runtime owns one per service). The caller must
-  /// keep the pool alive for the duration of the call. Ignored when
-  /// `num_threads <= 1`; null preserves the spawn-per-query behaviour.
-  ThreadPool* pool = nullptr;
 
   /// Planner options (Ablation A: vertex-ordering heuristics).
   PlanOptions plan;
@@ -154,17 +128,9 @@ struct ExecStats {
   /// Residual per-candidate FILTER evaluations (satellite vertices, ground
   /// checks, and everything in post-filter mode).
   uint64_t predicate_checks = 0;
-  /// High-water scratch-arena footprint of one Matcher (max over workers).
+  /// High-water scratch-arena footprint of the Matcher (max over merged
+  /// executions).
   uint64_t peak_arena_bytes = 0;
-
-  // -- Parallel online stage (docs/ARCHITECTURE.md, "The parallel online
-  // stage"). Zero on the serial path.
-
-  /// Worker threads that participated in this execution (max over merges,
-  /// so a query-level aggregate reports the widest fan-out).
-  uint64_t threads_used = 0;
-  /// Root-candidate chunks dispatched to the worker queue.
-  uint64_t tasks_dispatched = 0;
 
   // -- Factorized answer graphs (docs/ARCHITECTURE.md, "Factorized answer
   // graphs"). groups_emitted / factorized_rows_represented track the
@@ -199,8 +165,6 @@ struct ExecStats {
     range_scan_elements += o.range_scan_elements;
     predicate_checks += o.predicate_checks;
     peak_arena_bytes = std::max(peak_arena_bytes, o.peak_arena_bytes);
-    threads_used = std::max(threads_used, o.threads_used);
-    tasks_dispatched += o.tasks_dispatched;
     groups_emitted += o.groups_emitted;
     factorized_rows_represented =
         SaturatingAdd(factorized_rows_represented, o.factorized_rows_represented);
@@ -303,10 +267,7 @@ class CollectingSink : public EmbeddingSink {
   uint64_t cap_;
 };
 
-/// Byte key identifying a projected row for DISTINCT deduplication. The
-/// parallel merge dedups across chunks with the same keys DistinctSink
-/// builds per chunk — both MUST use this helper so the encodings can never
-/// drift apart.
+/// Byte key identifying a projected row for DISTINCT deduplication.
 inline std::string RowDedupKey(std::span<const VertexId> row) {
   return std::string(reinterpret_cast<const char*>(row.data()),
                      row.size() * sizeof(VertexId));
@@ -333,9 +294,6 @@ class DistinctSink : public EmbeddingSink {
   uint64_t count() const { return count_; }
   const std::vector<std::vector<VertexId>>& rows() const { return rows_; }
   std::vector<std::vector<VertexId>>&& TakeRows() { return std::move(rows_); }
-  /// The dedup key set (the parallel count-only merge unions these instead
-  /// of retaining rows).
-  std::unordered_set<std::string>&& TakeSeen() { return std::move(seen_); }
 
  private:
   bool keep_rows_;

@@ -103,21 +103,6 @@ Result<std::string> ExplainQuery(const SelectQuery& query,
          " component(s)\n";
 
   if (exec != nullptr) {
-    // Mirrors AmberEngine::Execute's parallel gate: >1 threads and at
-    // least one component (fully ground queries have nothing to shard).
-    if (exec->num_threads > 1 && !plan.components.empty()) {
-      const uint32_t uinit = plan.components[0].core_order[0];
-      out += "Parallel online stage: " +
-             std::to_string(exec->num_threads) + " threads over CandInit(?" +
-             q.vertices()[uinit].name +
-             ") chunks, deterministic chunk-order merge (rows bit-identical "
-             "to serial)\n";
-    } else {
-      out += "Parallel online stage: serial (num_threads=" +
-             std::to_string(exec->num_threads < 1 ? 1 : exec->num_threads) +
-             ")\n";
-    }
-
     // Result representation the options select for THIS plan (kAuto
     // factorizes exactly when the decomposition has satellites to group).
     const bool factorized = UseFactorizedForm(exec->result_form, plan);

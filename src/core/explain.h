@@ -21,13 +21,11 @@ namespace amber {
 
 /// Renders the execution plan of `query` against data described by `dicts`
 /// (and, when `indexes` is non-null, initial candidate counts from S).
-/// When `exec` is non-null, also reports how the parallel online stage
-/// would run under those execution options (partition unit, worker count,
-/// determinism contract) — or that execution stays serial — and which
-/// result form (flat rows vs factorized answer graph) the options select
-/// for this plan. When `stats` is additionally non-null, reports the
-/// factorization outcome of an actual execution: groups emitted, rows
-/// represented vs expanded, and the compression ratio.
+/// When `exec` is non-null, also reports which result form (flat rows vs
+/// factorized answer graph) those execution options select for this plan.
+/// When `stats` is additionally non-null, reports the factorization
+/// outcome of an actual execution: groups emitted, rows represented vs
+/// expanded, and the compression ratio.
 Result<std::string> ExplainQuery(const SelectQuery& query,
                                  const RdfDictionaries& dicts,
                                  const IndexSet* indexes,

@@ -192,7 +192,6 @@ uint64_t FactorizedBuilder::ExpandIntoSeen(const FactorizedResult::Group& g) {
 }
 
 bool FactorizedBuilder::Add(FactorizedResult::Group&& g) {
-  g.needs_dedup = false;
   const uint64_t card = g.Cardinality();
   result_.represented_rows = SaturatingAdd(result_.represented_rows, card);
   if (!result_.distinct) {

@@ -1,6 +1,6 @@
 // Factorized answer graphs (docs/ARCHITECTURE.md, "Factorized answer
 // graphs"): the result representation, its lazy expansion cursor, and the
-// builder shared by the serial sink and the parallel chunk merge.
+// builder the matcher's sink feeds.
 //
 // A FactorizedResult keeps each solution record as (core embedding ×
 // per-projected-satellite candidate lists) instead of expanding the
@@ -62,8 +62,7 @@ struct FactorizedResult {
     uint64_t ByteSize() const;
   };
 
-  /// Groups in emission order (= the serial matcher's order; the parallel
-  /// path concatenates chunks in chunk order, which is the same order).
+  /// Groups in emission order (= the matcher's order).
   std::vector<Group> groups;
 
   /// Exact number of expansion rows: the saturating sum of group
@@ -134,9 +133,6 @@ struct FactorizedResult {
 
 /// \brief Accumulates groups in emission order into a FactorizedResult.
 ///
-/// One code path serves both the serial FactorizedSink and the parallel
-/// chunk merge, so the two produce identical results by construction.
-///
 /// Under DISTINCT the builder keys each group by the byte string of its
 /// core-bound slots. Distinct keys can never yield equal rows (the rows
 /// differ in a core slot) and rows within one group are always distinct
@@ -153,9 +149,7 @@ class FactorizedBuilder {
                     bool distinct, uint64_t cap);
 
   /// Appends one group (emission order). Returns false once the cap is
-  /// reached — the group IS retained; the caller stops producing. Any
-  /// incoming needs_dedup flag is recomputed (chunk-local flags from a
-  /// parallel run carry no meaning across chunks).
+  /// reached — the group IS retained; the caller stops producing.
   bool Add(FactorizedResult::Group&& g);
 
   /// Exact (distinct-aware) expansion rows accumulated so far.
@@ -183,10 +177,10 @@ class FactorizedBuilder {
   std::unordered_set<std::string> seen_;
 };
 
-/// Collects matcher group emissions into a FactorizedBuilder (the serial
-/// path; the parallel path runs one per chunk). Rows delivered through
-/// OnRow — ground-only queries, which never reach the group path — are
-/// wrapped as singleton groups so every query shape factorizes.
+/// Collects matcher group emissions into a FactorizedBuilder. Rows
+/// delivered through OnRow — ground-only queries, which never reach the
+/// group path — are wrapped as singleton groups so every query shape
+/// factorizes.
 class FactorizedSink : public EmbeddingSink {
  public:
   explicit FactorizedSink(FactorizedBuilder* builder) : builder_(builder) {}

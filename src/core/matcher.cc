@@ -35,9 +35,9 @@ uint64_t VectorBytes(const std::vector<T>& v) {
 
 }  // namespace
 
-MatcherScratch::MatcherScratch(const Multigraph& g, const IndexSet& indexes,
-                               const QueryGraph& q, const QueryPlan& plan,
-                               const ExecOptions& options) {
+Matcher::Scratch::Scratch(const Multigraph& g, const IndexSet& indexes,
+                          const QueryGraph& q, const QueryPlan& plan,
+                          const ExecOptions& options) {
   core_match.assign(q.NumVertices(), kInvalidId);
   sat_match.assign(q.NumVertices(), {});
   size_t total_depth = 0;
@@ -82,7 +82,7 @@ MatcherScratch::MatcherScratch(const Multigraph& g, const IndexSet& indexes,
   group_views.resize(expand.size());
 }
 
-uint64_t MatcherScratch::ArenaBytes() const {
+uint64_t Matcher::Scratch::ArenaBytes() const {
   uint64_t total = 0;
   for (const DepthScratch& ds : depths) {
     total += VectorBytes(ds.constraints) + VectorBytes(ds.views) +
@@ -108,27 +108,13 @@ uint64_t MatcherScratch::ArenaBytes() const {
 
 Matcher::Matcher(const Multigraph& g, const IndexSet& indexes,
                  const QueryGraph& q, const QueryPlan& plan,
-                 const ExecOptions& options, MatcherScratch* scratch)
-    : g_(g),
-      indexes_(indexes),
-      q_(q),
-      plan_(plan),
-      options_(options),
-      s_(scratch) {
-  assert(s_ != nullptr);
-}
-
-Matcher::Matcher(const Multigraph& g, const IndexSet& indexes,
-                 const QueryGraph& q, const QueryPlan& plan,
                  const ExecOptions& options)
     : g_(g),
       indexes_(indexes),
       q_(q),
       plan_(plan),
       options_(options),
-      owned_scratch_(
-          std::make_unique<MatcherScratch>(g, indexes, q, plan, options)),
-      s_(owned_scratch_.get()) {}
+      s_(g, indexes, q, plan, options) {}
 
 Matcher::Flow Matcher::CheckInterruptNow() {
   // Token before clock: checking the token is one relaxed load, and a
@@ -183,7 +169,7 @@ void Matcher::PairCandidates(const QueryEdge& e, bool u_is_from, VertexId vn,
   // superset multi-edge; un --types--> u: among vn's out-neighbours.
   const Direction d = u_is_from ? Direction::kIn : Direction::kOut;
   indexes_.neighborhood.SupersetNeighbors(vn, d, e.types, out,
-                                          &s_->nbr_scratch);
+                                          &s_.nbr_scratch);
 }
 
 void Matcher::ProbeFilter(const QueryEdge& e, bool u_is_from, VertexId vn,
@@ -193,18 +179,18 @@ void Matcher::ProbeFilter(const QueryEdge& e, bool u_is_from, VertexId vn,
   // materializing vn's neighbour list is the whole point — c is one of few
   // surviving candidates and usually low-degree, vn is the hub.
   const Direction d = u_is_from ? Direction::kOut : Direction::kIn;
-  s_->probe_checks += cand->size();
+  s_.probe_checks += cand->size();
   std::erase_if(*cand, [&](VertexId c) {
     return !indexes_.neighborhood.Contains(c, d, e.types, vn,
-                                           &s_->nbr_scratch);
+                                           &s_.nbr_scratch);
   });
-  s_->probe_hits += cand->size();
+  s_.probe_hits += cand->size();
 }
 
 const std::vector<VertexId>* Matcher::CachedLocalCandidates(uint32_t u) {
-  if (s_->local_state[u] == MatcherScratch::LocalState::kNone) return nullptr;
-  if (s_->local_state[u] == MatcherScratch::LocalState::kCached) {
-    return &s_->local_cache[u];
+  if (s_.local_state[u] == Scratch::LocalState::kNone) return nullptr;
+  if (s_.local_state[u] == Scratch::LocalState::kCached) {
+    return &s_.local_cache[u];
   }
 
   const QueryVertex& qv = q_.vertices()[u];
@@ -220,13 +206,13 @@ const std::vector<VertexId>* Matcher::CachedLocalCandidates(uint32_t u) {
     }
   }
   if (qv.attrs.empty() && qv.iris.empty() && !push_preds) {
-    s_->local_state[u] = MatcherScratch::LocalState::kNone;
+    s_.local_state[u] = Scratch::LocalState::kNone;
     return nullptr;
   }
   // Cold path: computed once per query vertex per scratch, then served from
   // the cache for every subsequent refinement (RefineByVertex used to
   // recompute this per satellite per embedding).
-  std::vector<VertexId>& result = s_->local_cache[u];
+  std::vector<VertexId>& result = s_.local_cache[u];
   result.clear();
   std::vector<VertexId> tmp;
   bool first = true;
@@ -247,13 +233,13 @@ const std::vector<VertexId>* Matcher::CachedLocalCandidates(uint32_t u) {
                                  &scan_stats);
         first = false;
       } else if (!result.empty()) {
-        indexes_.value.RangeScan(pc.predicate, pc.comparisons, &s_->range_tmp,
+        indexes_.value.RangeScan(pc.predicate, pc.comparisons, &s_.range_tmp,
                                  &scan_stats);
-        IntersectInPlace(&result, std::span<const VertexId>(s_->range_tmp),
-                         &s_->icounters);
+        IntersectInPlace(&result, std::span<const VertexId>(s_.range_tmp),
+                         &s_.icounters);
       }
-      s_->range_scans += scan_stats.scans;
-      s_->range_scan_elements += scan_stats.elements;
+      s_.range_scans += scan_stats.scans;
+      s_.range_scan_elements += scan_stats.elements;
       // Deadline/cancellation poll between range scans: one scan is the
       // interrupt granularity of CandInit, not the whole pipeline.
       PollInterrupt();
@@ -264,14 +250,14 @@ const std::vector<VertexId>* Matcher::CachedLocalCandidates(uint32_t u) {
     if (pending_ != InterruptKind::kNone) return;
     if (first) {
       indexes_.neighborhood.SupersetNeighbors(anchor, d, types, &result,
-                                              &s_->nbr_scratch);
+                                              &s_.nbr_scratch);
       first = false;
     } else if (!result.empty()) {
       tmp.clear();
       indexes_.neighborhood.SupersetNeighbors(anchor, d, types, &tmp,
-                                              &s_->nbr_scratch);
+                                              &s_.nbr_scratch);
       IntersectInPlace(&result, std::span<const VertexId>(tmp),
-                       &s_->icounters);
+                       &s_.icounters);
     }
     PollInterrupt();
   };
@@ -287,7 +273,7 @@ const std::vector<VertexId>* Matcher::CachedLocalCandidates(uint32_t u) {
     // fresh budget must recompute. local_state stays kUnknown.
     return &result;
   }
-  s_->local_state[u] = MatcherScratch::LocalState::kCached;
+  s_.local_state[u] = Scratch::LocalState::kCached;
   return &result;
 }
 
@@ -295,7 +281,7 @@ void Matcher::RefineByVertex(uint32_t u, std::vector<VertexId>* cand) {
   if (cand->empty()) return;
   const std::vector<VertexId>* local = CachedLocalCandidates(u);
   if (local != nullptr) {
-    IntersectInPlace(cand, std::span<const VertexId>(*local), &s_->icounters);
+    IntersectInPlace(cand, std::span<const VertexId>(*local), &s_.icounters);
   }
   VertexChecks(u, cand);
 }
@@ -313,7 +299,7 @@ void Matcher::VertexChecks(uint32_t u, std::vector<VertexId>* cand) {
     if (cand->empty()) break;
     if (ConstraintPushed(u, i)) continue;  // already intersected above
     const PredicateConstraint& pc = qv.preds[i];
-    s_->predicate_checks += cand->size();
+    s_.predicate_checks += cand->size();
     std::erase_if(*cand, [&](VertexId v) {
       return !indexes_.value.VertexMatches(g_.Attributes(v), pc.predicate,
                                            pc.comparisons);
@@ -359,26 +345,20 @@ const std::vector<VertexId>& Matcher::CachedComponentCandidates(size_t ci) {
   // Components after the first are re-entered once per upstream embedding;
   // their CandInit does not depend on earlier assignments, so compute it
   // once per run.
-  if (!s_->comp_cand_cached[ci]) {
-    s_->comp_cand_cache[ci] =
+  if (!s_.comp_cand_cached[ci]) {
+    s_.comp_cand_cache[ci] =
         InitialCandidates(plan_.components[ci].core_order[0]);
     // Never cache a scan the deadline/token cut short — the next upstream
     // embedding (or a fresh run reusing this scratch) must recompute.
-    if (pending_ == InterruptKind::kNone) s_->comp_cand_cached[ci] = true;
+    if (pending_ == InterruptKind::kNone) s_.comp_cand_cached[ci] = true;
   }
-  return s_->comp_cand_cache[ci];
+  return s_.comp_cand_cache[ci];
 }
 
 std::vector<VertexId> Matcher::ComputeRootCandidates() {
-  return ComputeRootCandidates(Deadline::After(options_.timeout),
-                               options_.cancel);
-}
-
-std::vector<VertexId> Matcher::ComputeRootCandidates(
-    const Deadline& deadline, const CancellationToken& cancel) {
   if (plan_.components.empty()) return {};
-  deadline_ = deadline;
-  cancel_ = cancel;
+  deadline_ = Deadline::After(options_.timeout);
+  cancel_ = options_.cancel;
   deadline_tick_ = 0;
   pending_ = InterruptKind::kNone;
   return InitialCandidates(plan_.components[0].core_order[0]);
@@ -387,7 +367,7 @@ std::vector<VertexId> Matcher::ComputeRootCandidates(
 bool Matcher::MatchSatellites(const std::vector<uint32_t>& sats, uint32_t uc,
                               VertexId vc) {
   for (uint32_t us : sats) {
-    std::vector<VertexId>& cand = s_->sat_match[us];
+    std::vector<VertexId>& cand = s_.sat_match[us];
     cand.clear();
     const std::vector<std::pair<uint32_t, bool>>& incident =
         q_.IncidentEdges(us);
@@ -417,7 +397,7 @@ bool Matcher::MatchSatellites(const std::vector<uint32_t>& sats, uint32_t uc,
 
     PairCandidates(q_.edges()[incident[seed].first], incident[seed].second,
                    vc, &cand);
-    ++s_->lists_materialized;
+    ++s_.lists_materialized;
     for (size_t idx = 0; idx < incident.size() && !cand.empty(); ++idx) {
       if (idx == seed) continue;
       const auto& [edge_idx, us_is_from] = incident[idx];
@@ -434,11 +414,11 @@ bool Matcher::MatchSatellites(const std::vector<uint32_t>& sats, uint32_t uc,
       if (bound > kProbeMinBound && bound / kProbeSkewFactor > cand.size()) {
         ProbeFilter(e, us_is_from, vc, &cand);
       } else {
-        s_->sat_tmp.clear();
-        PairCandidates(e, us_is_from, vc, &s_->sat_tmp);
-        ++s_->lists_materialized;
-        IntersectInPlace(&cand, std::span<const VertexId>(s_->sat_tmp),
-                         &s_->icounters);
+        s_.sat_tmp.clear();
+        PairCandidates(e, us_is_from, vc, &s_.sat_tmp);
+        ++s_.lists_materialized;
+        IntersectInPlace(&cand, std::span<const VertexId>(s_.sat_tmp),
+                         &s_.icounters);
       }
     }
     RefineByVertex(us, &cand);
@@ -455,8 +435,8 @@ Matcher::Flow Matcher::Emit() {
     // counting is factorized by nature, so the group counters tick here
     // too and rows_expanded stays zero.
     uint64_t count = 1;
-    for (uint32_t us : s_->satellite_list) {
-      count = SaturatingMul(count, s_->sat_match[us].size());
+    for (uint32_t us : s_.satellite_list) {
+      count = SaturatingMul(count, s_.sat_match[us].size());
     }
     ++stats_->groups_emitted;
     stats_->factorized_rows_represented =
@@ -470,10 +450,10 @@ Matcher::Flow Matcher::Emit() {
   const std::vector<uint32_t>& proj = q_.projection();
   uint64_t multiplicity = 1;
   if (bag_multiplicity_) {
-    for (uint32_t us : s_->satellite_list) {
-      if (std::find(s_->expand.begin(), s_->expand.end(), us) ==
-          s_->expand.end()) {
-        multiplicity = SaturatingMul(multiplicity, s_->sat_match[us].size());
+    for (uint32_t us : s_.satellite_list) {
+      if (std::find(s_.expand.begin(), s_.expand.end(), us) ==
+          s_.expand.end()) {
+        multiplicity = SaturatingMul(multiplicity, s_.sat_match[us].size());
       }
     }
   }
@@ -486,38 +466,38 @@ Matcher::Flow Matcher::Emit() {
     uint64_t card = multiplicity;
     for (size_t i = 0; i < proj.size(); ++i) {
       const uint32_t u = proj[i];
-      s_->row_buffer[i] = plan_.is_core[u] ? s_->core_match[u] : kInvalidId;
+      s_.row_buffer[i] = plan_.is_core[u] ? s_.core_match[u] : kInvalidId;
     }
-    for (size_t j = 0; j < s_->expand.size(); ++j) {
-      const std::vector<VertexId>& list = s_->sat_match[s_->expand[j]];
-      s_->group_views[j] = std::span<const VertexId>(list);
+    for (size_t j = 0; j < s_.expand.size(); ++j) {
+      const std::vector<VertexId>& list = s_.sat_match[s_.expand[j]];
+      s_.group_views[j] = std::span<const VertexId>(list);
       card = SaturatingMul(card, list.size());
     }
     ++stats_->groups_emitted;
     stats_->factorized_rows_represented =
         SaturatingAdd(stats_->factorized_rows_represented, card);
-    EmbeddingGroupView view{s_->row_buffer, s_->slot_list, s_->group_views,
+    EmbeddingGroupView view{s_.row_buffer, s_.slot_list, s_.group_views,
                             multiplicity};
     return sink_->OnGroup(view) ? Flow::kContinue : Flow::kStop;
   }
 
   // Odometer over the projected satellite sets (flat cross-product).
-  s_->pick.assign(s_->expand.size(), 0);
+  s_.pick.assign(s_.expand.size(), 0);
   while (true) {
     for (size_t i = 0; i < proj.size(); ++i) {
       const uint32_t u = proj[i];
       if (plan_.is_core[u]) {
-        s_->row_buffer[i] = s_->core_match[u];
+        s_.row_buffer[i] = s_.core_match[u];
       } else {
         const size_t slot = static_cast<size_t>(
-            std::find(s_->expand.begin(), s_->expand.end(), u) -
-            s_->expand.begin());
-        s_->row_buffer[i] = s_->sat_match[u][s_->pick[slot]];
+            std::find(s_.expand.begin(), s_.expand.end(), u) -
+            s_.expand.begin());
+        s_.row_buffer[i] = s_.sat_match[u][s_.pick[slot]];
       }
     }
     for (uint64_t m = 0; m < multiplicity; ++m) {
       ++stats_->rows_expanded;
-      if (!sink_->OnRow(s_->row_buffer)) return Flow::kStop;
+      if (!sink_->OnRow(s_.row_buffer)) return Flow::kStop;
       // Bag multiplicity can repeat one row millions of times with no
       // recursion in between; tick per emitted row so the Cartesian
       // expansion honours the deadline/token too.
@@ -525,26 +505,22 @@ Matcher::Flow Matcher::Emit() {
     }
     // Advance the odometer.
     size_t d = 0;
-    while (d < s_->expand.size()) {
-      if (++s_->pick[d] < s_->sat_match[s_->expand[d]].size()) break;
-      s_->pick[d] = 0;
+    while (d < s_.expand.size()) {
+      if (++s_.pick[d] < s_.sat_match[s_.expand[d]].size()) break;
+      s_.pick[d] = 0;
       ++d;
     }
-    if (d == s_->expand.size()) break;
+    if (d == s_.expand.size()) break;
   }
   return Flow::kContinue;
 }
 
-Matcher::Flow Matcher::MatchComponent(
-    size_t ci, const std::optional<std::span<const VertexId>>& root) {
+Matcher::Flow Matcher::MatchComponent(size_t ci) {
   if (ci == plan_.components.size()) return Emit();
   const ComponentPlan& cp = plan_.components[ci];
   const uint32_t uinit = cp.core_order[0];
 
-  const std::span<const VertexId> cand =
-      (ci == 0 && root.has_value())
-          ? *root
-          : std::span<const VertexId>(CachedComponentCandidates(ci));
+  const std::vector<VertexId>& cand = CachedComponentCandidates(ci);
   if (ci == 0) stats_->initial_candidates += cand.size();
 
   for (VertexId vinit : cand) {
@@ -553,9 +529,9 @@ Matcher::Flow Matcher::MatchComponent(
         !MatchSatellites(cp.satellites[0], uinit, vinit)) {
       continue;
     }
-    s_->core_match[uinit] = vinit;
+    s_.core_match[uinit] = vinit;
     Flow f = Recurse(ci, 1);
-    s_->core_match[uinit] = kInvalidId;
+    s_.core_match[uinit] = kInvalidId;
     if (f != Flow::kContinue) return f;
   }
   return Flow::kContinue;
@@ -565,12 +541,12 @@ Matcher::Flow Matcher::Recurse(size_t ci, size_t depth) {
   ++stats_->recursion_calls;
   const ComponentPlan& cp = plan_.components[ci];
   if (depth == cp.core_order.size()) {
-    return MatchComponent(ci + 1, std::nullopt);
+    return MatchComponent(ci + 1);
   }
   if (Flow f = CheckInterrupt(); f != Flow::kContinue) return f;
 
   const uint32_t unxt = cp.core_order[depth];
-  MatcherScratch::DepthScratch& ds = s_->depths[s_->depth_base[ci] + depth];
+  Scratch::DepthScratch& ds = s_.depths[s_.depth_base[ci] + depth];
 
   // Constraints from every already-matched core neighbour (Algorithm 4
   // lines 5-7), each with the O(1) neighbour-count upper bound on its
@@ -580,14 +556,14 @@ Matcher::Flow Matcher::Recurse(size_t ci, size_t depth) {
   for (const auto& [edge_idx, u_is_from] : q_.IncidentEdges(unxt)) {
     const QueryEdge& e = q_.edges()[edge_idx];
     const uint32_t other = u_is_from ? e.to : e.from;
-    const VertexId vn = s_->core_match[other];
+    const VertexId vn = s_.core_match[other];
     if (vn == kInvalidId) continue;  // satellite or not yet matched
     const Direction d = u_is_from ? Direction::kIn : Direction::kOut;
     const uint32_t bound =
         static_cast<uint32_t>(indexes_.neighborhood.NeighborCount(vn, d));
     if (bound == 0) return Flow::kContinue;
     ds.constraints.push_back(
-        MatcherScratch::Constraint{&e, vn, bound, u_is_from});
+        Scratch::Constraint{&e, vn, bound, u_is_from});
     min_bound = std::min(min_bound, bound);
   }
   assert(!ds.constraints.empty() && "ordering guarantees a matched neighbour");
@@ -597,7 +573,7 @@ Matcher::Flow Matcher::Recurse(size_t ci, size_t depth) {
   // bound constraint always materializes, so there is always a seed.
   ds.views.clear();
   size_t used = 0;
-  for (MatcherScratch::Constraint& c : ds.constraints) {
+  for (Scratch::Constraint& c : ds.constraints) {
     c.probe =
         c.bound > kProbeMinBound && c.bound / kProbeSkewFactor > min_bound;
     if (c.probe) continue;
@@ -605,7 +581,7 @@ Matcher::Flow Matcher::Recurse(size_t ci, size_t depth) {
     std::vector<VertexId>& list = ds.lists[used];
     list.clear();
     PairCandidates(*c.edge, c.u_is_from, c.vn, &list);
-    ++s_->lists_materialized;
+    ++s_.lists_materialized;
     if (list.empty()) return Flow::kContinue;
     ds.views.emplace_back(list.data(), list.size());
     ++used;
@@ -617,14 +593,14 @@ Matcher::Flow Matcher::Recurse(size_t ci, size_t depth) {
     std::swap(ds.cand, ds.lists[0]);
   } else {
     IntersectKWay(std::span<const std::span<const VertexId>>(ds.views),
-                  &ds.cursors, &ds.cand, &s_->icounters);
+                  &ds.cursors, &ds.cand, &s_.icounters);
   }
   if (ds.cand.empty()) return Flow::kContinue;
   RefineByVertex(unxt, &ds.cand);
 
   // Probe the deferred hub constraints against the (now small) survivor
   // set — per-candidate trie seeks instead of hub-sized materialization.
-  for (const MatcherScratch::Constraint& c : ds.constraints) {
+  for (const Scratch::Constraint& c : ds.constraints) {
     if (!c.probe || ds.cand.empty()) continue;
     ProbeFilter(*c.edge, c.u_is_from, c.vn, &ds.cand);
   }
@@ -634,32 +610,32 @@ Matcher::Flow Matcher::Recurse(size_t ci, size_t depth) {
   for (VertexId vnxt : ds.cand) {
     if (Flow f = CheckInterrupt(); f != Flow::kContinue) return f;
     if (!sats.empty() && !MatchSatellites(sats, unxt, vnxt)) continue;
-    s_->core_match[unxt] = vnxt;
+    s_.core_match[unxt] = vnxt;
     Flow f = Recurse(ci, depth + 1);
-    s_->core_match[unxt] = kInvalidId;
+    s_.core_match[unxt] = kInvalidId;
     if (f != Flow::kContinue) return f;
   }
   return Flow::kContinue;
 }
 
-void Matcher::FlushHotPathStats(ExecStats* stats) {
-  stats->lists_materialized += s_->lists_materialized;
-  stats->galloped_elements += s_->icounters.galloped_elements;
-  stats->scanned_elements += s_->icounters.scanned_elements;
-  stats->probe_checks += s_->probe_checks;
-  stats->probe_hits += s_->probe_hits;
-  stats->range_scans += s_->range_scans;
-  stats->range_scan_elements += s_->range_scan_elements;
-  stats->predicate_checks += s_->predicate_checks;
-  stats->peak_arena_bytes =
-      std::max(stats->peak_arena_bytes, s_->ArenaBytes());
-  s_->lists_materialized = 0;
-  s_->probe_checks = 0;
-  s_->probe_hits = 0;
-  s_->range_scans = 0;
-  s_->range_scan_elements = 0;
-  s_->predicate_checks = 0;
-  s_->icounters = IntersectCounters{};
+void Matcher::FlushHotPathStats() {
+  stats_->lists_materialized += s_.lists_materialized;
+  stats_->galloped_elements += s_.icounters.galloped_elements;
+  stats_->scanned_elements += s_.icounters.scanned_elements;
+  stats_->probe_checks += s_.probe_checks;
+  stats_->probe_hits += s_.probe_hits;
+  stats_->range_scans += s_.range_scans;
+  stats_->range_scan_elements += s_.range_scan_elements;
+  stats_->predicate_checks += s_.predicate_checks;
+  stats_->peak_arena_bytes =
+      std::max(stats_->peak_arena_bytes, s_.ArenaBytes());
+  s_.lists_materialized = 0;
+  s_.probe_checks = 0;
+  s_.probe_hits = 0;
+  s_.range_scans = 0;
+  s_.range_scan_elements = 0;
+  s_.predicate_checks = 0;
+  s_.icounters = IntersectCounters{};
 }
 
 bool Matcher::GroundChecksPass() {
@@ -674,7 +650,7 @@ bool Matcher::GroundChecksPass() {
     }
   }
   for (const GroundPredicate& gp : q_.ground_predicates()) {
-    ++s_->predicate_checks;
+    ++s_.predicate_checks;
     if (!indexes_.value.VertexMatches(g_.Attributes(gp.subject),
                                       gp.predicate, gp.comparisons)) {
       return false;
@@ -684,19 +660,17 @@ bool Matcher::GroundChecksPass() {
 }
 
 Status Matcher::Run(EmbeddingSink* sink, ExecStats* stats,
-                    const RunControl& control) {
+                    bool bag_multiplicity) {
   sink_ = sink;
   stats_ = stats;
-  bag_multiplicity_ = control.bag_multiplicity;
-  deadline_ = control.deadline.has_value()
-                  ? *control.deadline
-                  : Deadline::After(options_.timeout);
-  cancel_ = control.cancel.has_value() ? *control.cancel : options_.cancel;
+  bag_multiplicity_ = bag_multiplicity;
+  deadline_ = Deadline::After(options_.timeout);
+  cancel_ = options_.cancel;
   deadline_tick_ = 0;
   pending_ = InterruptKind::kNone;
 
-  if (!control.skip_ground_checks && !GroundChecksPass()) {
-    FlushHotPathStats(stats_);
+  if (!GroundChecksPass()) {
+    FlushHotPathStats();
     return Status::OK();
   }
 
@@ -707,15 +681,15 @@ Status Matcher::Run(EmbeddingSink* sink, ExecStats* stats,
     } else {
       sink_->OnCount(1);
     }
-    FlushHotPathStats(stats_);
+    FlushHotPathStats();
     return Status::OK();
   }
 
-  Flow f = MatchComponent(0, control.root_candidates);
+  Flow f = MatchComponent(0);
   if (f == Flow::kTimeout) stats_->timed_out = true;
   if (f == Flow::kStop) stats_->truncated = true;
   if (f == Flow::kCancelled) stats_->cancelled = true;
-  FlushHotPathStats(stats_);
+  FlushHotPathStats();
   return Status::OK();
 }
 

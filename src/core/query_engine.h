@@ -39,10 +39,9 @@ struct MaterializedRows {
 /// \brief Consumer of a streaming execution (QueryEngine::Stream).
 ///
 /// OnRow receives each result row of N-Triples tokens, in the SAME order a
-/// Materialize call would produce (the deterministic chunk-order contract
-/// holds for streams too); the span is only valid during the call. Return
-/// false to stop the stream early — the engine unwinds cooperatively and
-/// reports StreamResult::sink_stopped.
+/// Materialize call would produce; the span is only valid during the call.
+/// Return false to stop the stream early — the engine unwinds cooperatively
+/// and reports StreamResult::sink_stopped.
 class RowSink {
  public:
   virtual ~RowSink() = default;
@@ -93,7 +92,7 @@ class QueryEngine {
   /// arrive in Materialize order; a false return from the sink stops the
   /// stream. The base implementation materializes and replays (correct
   /// for every engine, O(result) memory); AMbER overrides it with true
-  /// incremental emission bounded by O(buffer) memory.
+  /// incremental emission that never holds the result.
   virtual Result<StreamResult> Stream(const SelectQuery& query,
                                       const ExecOptions& options,
                                       RowSink* sink);

@@ -21,13 +21,6 @@
 // Disconnected queries (legal SPARQL, a cross product) are planned per
 // connected component; the matcher chains components and combines their
 // solutions.
-//
-// The first core vertex of the first component doubles as the *parallel
-// seed*: the parallel online stage (core/parallel_exec.h) partitions its
-// CandInit candidate list across workers, so the ordering heuristics above
-// also pick the fan-out axis — a selective seed means fewer, heavier root
-// candidates per chunk; a wide seed means many cheap chunks for the queue
-// to balance.
 
 #ifndef AMBER_CORE_QUERY_PLAN_H_
 #define AMBER_CORE_QUERY_PLAN_H_

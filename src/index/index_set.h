@@ -29,7 +29,7 @@ struct IndexSet {
   /// literal values V is sorted by). With a pool, the per-vertex work
   /// inside the signature and neighborhood builds is sharded across
   /// workers; every parallel path is bit-identical to the serial build, so
-  /// the persisted artifact does not depend on num_threads.
+  /// the persisted artifact does not depend on the thread count.
   static IndexSet Build(const Multigraph& g,
                         std::span<const AttributeValueInfo> attr_values,
                         size_t num_attr_predicates,

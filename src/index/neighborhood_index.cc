@@ -13,7 +13,7 @@ constexpr uint32_t kAmfNbrDirBase = 0x4010;  // + 0x10 per direction
 
 // Vertices per parallel build chunk. Fixed (not derived from the thread
 // count) so that the chunk boundaries — and therefore the merged arrays —
-// are identical for every num_threads, including the serial build.
+// are identical for every thread count, including the serial build.
 constexpr size_t kBuildChunkVertices = 1024;
 
 bool LexLess(std::span<const EdgeTypeId> a, std::span<const EdgeTypeId> b) {

@@ -214,7 +214,9 @@ class HttpServer::StreamSink : public PageSink {
 // ---------------------------------------------------------------------------
 
 HttpServer::HttpServer(QueryService* service, const HttpServerOptions& options)
-    : service_(service), options_(options) {}
+    : service_(service),
+      options_(options),
+      pool_(static_cast<size_t>(std::max(options.max_connections, 1))) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -222,18 +224,8 @@ Status HttpServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("server already started");
   }
-  const int pool_threads = std::max(1, service_->options().pool_threads);
-  effective_max_connections_ = options_.max_connections > 0
-                                   ? options_.max_connections
-                                   : pool_threads - 1;
-  if (effective_max_connections_ < 1 ||
-      effective_max_connections_ >= pool_threads) {
-    // The spare-worker invariant (file comment in the header): every
-    // connection parks one pool worker, and parallel executions need at
-    // least one unparked worker for their transient helper tasks.
-    return Status::InvalidArgument(
-        "max_connections must stay below the service's pool_threads "
-        "(need >= 2 pool threads to serve HTTP)");
+  if (options_.max_connections < 1) {
+    return Status::InvalidArgument("max_connections must be at least 1");
   }
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -357,7 +349,7 @@ void HttpServer::AcceptLoop() {
     bool rejected = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (static_cast<int>(conns_.size()) >= effective_max_connections_) {
+      if (static_cast<int>(conns_.size()) >= options_.max_connections) {
         rejected = true;
         ++stats_.connections_rejected;
       } else {
@@ -371,19 +363,8 @@ void HttpServer::AcceptLoop() {
       ::close(fd);
       continue;
     }
-    if (!service_->pool()->Submit(
-            [this, id, fd] { ServeConnection(id, fd); })) {
-      // Pool already shut down (service torn down under us).
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        conns_.erase(id);
-        --stats_.connections_accepted;
-        ++stats_.connections_rejected;
-      }
-      conn_cv_.notify_all();
-      WriteAll(fd, reject_response);
-      ::close(fd);
-    }
+    // The pool outlives the accept thread, so Submit cannot fail here.
+    pool_.Submit([this, id, fd] { ServeConnection(id, fd); });
   }
 }
 

@@ -21,14 +21,10 @@
 //
 // Threading model: one blocking accept thread; each accepted connection
 // runs its handler (read -> service call -> write, keep-alive loop) as a
-// task on the SERVICE's ThreadPool. A connection holds its worker for
-// its lifetime, so the capacity invariant is load-bearing:
-// max_connections MUST stay below pool_threads — the spare worker
-// guarantees parallel executions' borrowed helper tasks (which are
-// transient) always eventually run, or their completion latch could wait
-// on a worker that is itself a parked connection. Start() enforces it.
-// Overflow connections are answered 503 from the accept thread and
-// closed — load sheds at the door, exactly like admission control.
+// task on the server's ThreadPool of `max_connections` workers. A
+// connection holds its worker for its lifetime. Overflow connections are
+// answered 503 from the accept thread and closed — load sheds at the
+// door, exactly like admission control.
 //
 // Client abandonment: a watchdog thread polls executing connections'
 // sockets for hangup (POLLRDHUP) every ~20 ms and trips the request's
@@ -59,6 +55,7 @@
 
 #include "server/query_service.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace amber {
 
@@ -69,10 +66,9 @@ struct HttpServerOptions {
   uint16_t port = 0;
   int listen_backlog = 64;
 
-  /// Concurrent connections served (each holds one service-pool worker).
-  /// 0 = pool_threads - 1, the largest safe value; Start() rejects any
-  /// setting that would leave no spare worker (see file comment).
-  int max_connections = 0;
+  /// Concurrent connections served; each holds one worker of the server's
+  /// pool, which has exactly this many. Start() rejects values below 1.
+  int max_connections = 3;
 
   /// Request hard bounds: the header block and the whole request
   /// (headers + body). Oversized requests answer 431 / 413 and close.
@@ -121,7 +117,7 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds, listens, and starts the accept + watchdog threads. Errors:
-  /// kInvalidArgument (capacity invariant violated), kIOError (bind).
+  /// kInvalidArgument (max_connections < 1), kIOError (bind).
   Status Start();
 
   /// Graceful drain (see file comment). Idempotent; called by ~HttpServer.
@@ -176,7 +172,6 @@ class HttpServer {
 
   QueryService* service_;
   HttpServerOptions options_;
-  int effective_max_connections_ = 0;
 
   int listen_fd_ = -1;
   uint16_t bound_port_ = 0;
@@ -190,6 +185,10 @@ class HttpServer {
   uint64_t next_conn_id_ = 0;
   std::unordered_map<uint64_t, Conn> conns_;
   HttpServerStats stats_;
+
+  // Connection handlers. Declared last so its destructor joins the
+  // workers before the state they touch is destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace amber

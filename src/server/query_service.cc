@@ -55,25 +55,16 @@ Result<NormalizedQuery> NormalizeQuery(std::string_view text) {
 }
 
 QueryService::QueryService(QueryEngine* engine, const ServiceOptions& options)
-    : engine_(engine),
-      options_(options),
-      pool_(static_cast<size_t>(std::max(options.pool_threads, 1))) {}
-
-QueryService::~QueryService() { pool_.Shutdown(); }
+    : engine_(engine), options_(options) {}
 
 QueryService::Admission QueryService::Admit(
     std::chrono::steady_clock::time_point start,
-    std::chrono::milliseconds budget, bool* shed) {
+    std::chrono::milliseconds budget) {
   std::unique_lock<std::mutex> lock(mu_);
-  // Overload shedding decision belongs to the admission moment: the
-  // request counts itself, so with shed_high_water = H the (H+1)th
-  // concurrent execution is the first to run degraded.
-  auto admit_locked = [this, shed] {
+  auto admit_locked = [this] {
     ++in_flight_;
     stats_.peak_in_flight = std::max<uint64_t>(
         stats_.peak_in_flight, static_cast<uint64_t>(in_flight_));
-    *shed = options_.shed_high_water > 0 &&
-            in_flight_ > options_.shed_high_water;
   };
   if (options_.max_in_flight <= 0 || in_flight_ < options_.max_in_flight) {
     admit_locked();
@@ -515,8 +506,7 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
   }
 
   // Admission: acquire an execution slot inside the request's own budget.
-  bool shed = false;
-  switch (Admit(start, budget, &shed)) {
+  switch (Admit(start, budget)) {
     case Admission::kRejected: {
       Status status = Status::ResourceExhausted(
           "query service saturated (max_in_flight=" +
@@ -552,21 +542,6 @@ Result<QueryResponse> QueryService::Query(std::string_view text,
   } slot_guard{this};
 
   ExecOptions exec;
-  const int max_budget = options_.max_thread_budget > 0
-                             ? options_.max_thread_budget
-                             : options_.pool_threads + 1;
-  const int want = request.thread_budget > 0 ? request.thread_budget
-                                             : options_.default_thread_budget;
-  exec.num_threads = std::clamp(want, 1, max_budget);
-  const int shed_budget = std::max(options_.shed_thread_budget, 1);
-  if (shed && exec.num_threads > shed_budget) {
-    // Overload: degrade gracefully by shedding PARALLELISM, not the
-    // request — it still runs, on a reduced thread budget.
-    exec.num_threads = shed_budget;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_thread_budgets;
-  }
-  exec.pool = &pool_;
   if (!request.count_only) exec.max_rows = options_.max_result_rows;
   exec.cancel = exec_cancel.token();
 
@@ -846,8 +821,7 @@ Result<StreamResponse> QueryService::QueryStream(std::string_view text,
                          RegisterRequest(exec_cancel));
   DrainGuard drain_guard{this, drain_id};
 
-  bool shed = false;
-  switch (Admit(start, budget, &shed)) {
+  switch (Admit(start, budget)) {
     case Admission::kRejected: {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.rejected;
@@ -873,19 +847,6 @@ Result<StreamResponse> QueryService::QueryStream(std::string_view text,
   } slot_guard{this};
 
   ExecOptions exec;
-  const int max_budget = options_.max_thread_budget > 0
-                             ? options_.max_thread_budget
-                             : options_.pool_threads + 1;
-  const int want = request.thread_budget > 0 ? request.thread_budget
-                                             : options_.default_thread_budget;
-  exec.num_threads = std::clamp(want, 1, max_budget);
-  const int shed_budget = std::max(options_.shed_thread_budget, 1);
-  if (shed && exec.num_threads > shed_budget) {
-    exec.num_threads = shed_budget;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.shed_thread_budgets;
-  }
-  exec.pool = &pool_;
   exec.cancel = exec_cancel.token();
   // Pagination folds into the engine's row cap: enumeration stops once
   // offset + limit rows exist, instead of materializing the full result

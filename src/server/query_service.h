@@ -2,16 +2,11 @@
 // one-query-at-a-time AMbER engine into a request-serving layer built for
 // sustained concurrent traffic (docs/ARCHITECTURE.md, "Serving runtime").
 //
-// Four responsibilities sit above the immutable engine:
+// Four responsibilities sit above the immutable engine. Requests execute
+// serially on the calling client thread; concurrency comes from serving
+// many requests at once.
 //
-//  1. Pool ownership. The service owns ONE persistent util/thread_pool.h
-//     pool shared across every request. Parallel executions borrow helper
-//     workers from it (ExecOptions::pool) instead of spawning a thread
-//     pool per query — thread spawn is ~0.1 ms, visible on microsecond
-//     queries. Requests execute on the calling client thread; only the
-//     extra workers of a multi-threaded request come from the pool.
-//
-//  2. Admission control. At most `max_in_flight` requests execute
+//  1. Admission control. At most `max_in_flight` requests execute
 //     concurrently; up to `max_queued` more wait for a slot. Beyond that,
 //     Query() fails fast with Status::kResourceExhausted — load sheds at
 //     the door instead of collapsing under a convoy. A request's deadline
@@ -19,7 +14,7 @@
 //     queued is charged against it, and a request whose budget expires in
 //     the queue returns `timed_out` without ever touching the engine.
 //
-//  3. Plan/result cache. An LRU cache keyed on *normalized* query text
+//  2. Plan/result cache. An LRU cache keyed on *normalized* query text
 //     (parse -> canonical variable renaming -> canonical formatting, so
 //     whitespace, comments and variable names don't fragment the key
 //     space) retains the parsed query plus a handle to its full result
@@ -36,18 +31,15 @@
 //     returns `timed_out` without cancelling the leader; a leader
 //     failure propagates to every follower and is never cached).
 //
-//  4. Fault tolerance. Each execution attempt passes the
+//  3. Fault tolerance. Each execution attempt passes the
 //     `service.execute` fault-injection site (util/fault_injector.h).
 //     Transient failures — injected or organic kUnavailable — are
 //     retried up to `max_retries` times with bounded exponential
 //     backoff, but only while the request's remaining deadline budget
 //     still covers the backoff sleep; a request never burns its last
-//     milliseconds sleeping. Under overload (in-flight above
-//     `shed_high_water`) the service degrades gracefully by shedding
-//     PARALLELISM, not requests: new queries run with a reduced
-//     `shed_thread_budget` before the hard kResourceExhausted wall.
+//     milliseconds sleeping.
 //
-//  5. Cancellation & streaming (docs/ARCHITECTURE.md, "Streaming &
+//  4. Cancellation & streaming (docs/ARCHITECTURE.md, "Streaming &
 //     cancellation"). Every request runs under a CancellationSource that
 //     merges the client's RequestOptions::cancel token with the service's
 //     internal abort signals; a tripped token unwinds the engine within
@@ -61,11 +53,9 @@
 //     completion.
 //
 // Thread-safety: Query() may be called concurrently from any number of
-// client threads. Responses are bit-identical to what a serial,
-// single-client run of the underlying engine would return (the parallel
-// online stage's determinism contract extends through the service), so a
-// cached response, an uncached response and a serial reference can be
-// compared byte for byte.
+// client threads. Responses are bit-identical to what a single-client run
+// of the underlying engine would return, so a cached response, an uncached
+// response and a direct engine run can be compared byte for byte.
 
 #ifndef AMBER_SERVER_QUERY_SERVICE_H_
 #define AMBER_SERVER_QUERY_SERVICE_H_
@@ -86,16 +76,11 @@
 #include "sparql/ast.h"
 #include "util/cancellation.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace amber {
 
 /// Service-wide configuration, fixed at construction.
 struct ServiceOptions {
-  /// Worker threads in the persistent pool (helpers for multi-threaded
-  /// requests; every request additionally runs on its client thread).
-  int pool_threads = 4;
-
   /// Admission: requests executing concurrently. <= 0 disables the limit.
   int max_in_flight = 8;
 
@@ -103,14 +88,6 @@ struct ServiceOptions {
   /// Query() rejects with kResourceExhausted. <= 0 means no waiting room
   /// (reject as soon as max_in_flight is reached).
   int max_queued = 8;
-
-  /// Online-stage workers for requests that don't ask for a budget
-  /// (RequestOptions::thread_budget == 0). 1 = serial execution.
-  int default_thread_budget = 1;
-
-  /// Hard cap on any request's thread budget. <= 0 defaults to
-  /// pool_threads + 1 (all helpers plus the client thread).
-  int max_thread_budget = 0;
 
   /// Deadline for requests that don't set one. Zero = unlimited.
   std::chrono::milliseconds default_deadline{0};
@@ -135,15 +112,6 @@ struct ServiceOptions {
   /// First retry backoff; doubles per retry. A retry is attempted only
   /// while the request's remaining deadline budget exceeds the backoff.
   std::chrono::milliseconds initial_backoff{10};
-
-  /// Overload threshold: a request admitted while MORE than this many
-  /// requests are executing (itself included) has its thread budget
-  /// clamped to `shed_thread_budget` — degrade parallelism before the
-  /// admission wall rejects outright. <= 0 disables shedding.
-  int shed_high_water = 0;
-
-  /// The reduced per-query thread budget under overload (min 1).
-  int shed_thread_budget = 1;
 
   /// Row cap on the retained result handle of one materializing
   /// execution (0 = unlimited). A handle truncated by this cap is cached
@@ -176,10 +144,6 @@ struct RequestOptions {
   /// Per-query wall-clock budget starting at Query() entry (queue wait
   /// included). Zero = the service default.
   std::chrono::milliseconds deadline{0};
-
-  /// Online-stage workers for this request (1 = serial; capped by
-  /// ServiceOptions::max_thread_budget). Zero = the service default.
-  int thread_budget = 0;
 
   /// Pagination over the retained result handle: skip `offset` rows, then
   /// return up to `limit` rows (0 = all remaining). Pagination is a view
@@ -310,8 +274,6 @@ struct ServiceStats {
   uint64_t factorized_hits = 0;
   /// Execution attempts beyond the first (transient-failure retries).
   uint64_t retries = 0;
-  /// Requests whose thread budget was clamped by overload shedding.
-  uint64_t shed_thread_budgets = 0;
   /// Page rows returned to clients.
   uint64_t rows_served = 0;
   /// High-water mark of concurrently executing requests.
@@ -402,9 +364,8 @@ Result<NormalizedQuery> NormalizeQuery(std::string_view text);
 class QueryService {
  public:
   /// `engine` is borrowed and must outlive the service. Any QueryEngine
-  /// works; only AMbER uses the shared pool (baselines run serially).
+  /// works.
   QueryService(QueryEngine* engine, const ServiceOptions& options);
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -448,19 +409,14 @@ class QueryService {
   ///   4. Shutdown() returns only when no request remains inside the
   ///      service.
   ///
-  /// The pool and the cache stay intact (the destructor tears them
-  /// down); Stats() remains callable. Idempotent and thread-safe, but
+  /// The cache stays intact (the destructor tears it down); Stats()
+  /// remains callable. Idempotent and thread-safe, but
   /// callers must ensure no PageSink can block forever ignoring its
   /// stream's cancellation — the HTTP server shuts client sockets before
   /// calling this, so in-flight page writes fail promptly.
   void Shutdown(std::chrono::milliseconds grace = std::chrono::milliseconds(0));
 
   const ServiceOptions& options() const { return options_; }
-
-  /// The service's persistent worker pool. The HTTP transport dispatches
-  /// connection handlers onto it (server/http_server.h documents the
-  /// capacity headroom that keeps exec helper tasks schedulable).
-  ThreadPool* pool() { return &pool_; }
 
  private:
   /// Retained per-key state: the parsed plan plus the result handle(s).
@@ -507,10 +463,9 @@ class QueryService {
   enum class Admission { kAdmitted, kRejected, kExpired };
 
   /// Blocks until an execution slot is free, the queue overflows, or the
-  /// deadline passes. On kAdmitted the caller owns one slot and `*shed`
-  /// says whether overload shedding applies to this request.
+  /// deadline passes. On kAdmitted the caller owns one slot.
   Admission Admit(std::chrono::steady_clock::time_point start,
-                  std::chrono::milliseconds budget, bool* shed);
+                  std::chrono::milliseconds budget);
   void Release();
 
   /// Cache lookup; touches the LRU. Caller holds mu_.
@@ -560,7 +515,6 @@ class QueryService {
 
   QueryEngine* engine_;
   const ServiceOptions options_;
-  ThreadPool pool_;
 
   mutable std::mutex mu_;
   std::condition_variable admission_cv_;

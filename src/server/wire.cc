@@ -1,6 +1,5 @@
 #include "server/wire.h"
 
-#include <limits>
 #include <utility>
 
 #include "core/exec.h"
@@ -108,8 +107,6 @@ void WriteExecStats(json::Writer* w, const ExecStats& s) {
   w->KV("range_scan_elements", s.range_scan_elements);
   w->KV("predicate_checks", s.predicate_checks);
   w->KV("peak_arena_bytes", s.peak_arena_bytes);
-  w->KV("threads_used", s.threads_used);
-  w->KV("tasks_dispatched", s.tasks_dispatched);
   w->KV("groups_emitted", s.groups_emitted);
   w->KV("factorized_rows_represented", s.factorized_rows_represented);
   w->KV("rows_expanded", s.rows_expanded);
@@ -156,13 +153,6 @@ Result<WireRequest> ParseRequest(std::string_view body) {
       uint64_t ms = 0;
       AMBER_RETURN_IF_ERROR(ReadUInt(value, key, &ms));
       req.options.deadline = std::chrono::milliseconds(ms);
-    } else if (key == "thread_budget") {
-      uint64_t budget = 0;
-      AMBER_RETURN_IF_ERROR(ReadUInt(value, key, &budget));
-      if (budget > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-        return WrongType(key, "a small non-negative integer");
-      }
-      req.options.thread_budget = static_cast<int>(budget);
     } else if (key == "offset") {
       AMBER_RETURN_IF_ERROR(ReadUInt(value, key, &req.options.offset));
     } else if (key == "limit") {
@@ -321,7 +311,6 @@ std::string ServiceStatsToJson(const ServiceStats& stats) {
   w.KV("single_flight_hits", stats.single_flight_hits);
   w.KV("factorized_hits", stats.factorized_hits);
   w.KV("retries", stats.retries);
-  w.KV("shed_thread_budgets", stats.shed_thread_budgets);
   w.KV("rows_served", stats.rows_served);
   w.KV("peak_in_flight", stats.peak_in_flight);
   w.KV("in_flight", stats.in_flight);

@@ -9,10 +9,9 @@
 // serializers so equal payloads are equal BYTES — the Query-vs-HTTP
 // bit-identity tests depend on it):
 //
-//   request   {"query": s, "deadline_ms": u, "thread_budget": u,
-//              "offset": u, "limit": u, "count_only": b,
-//              "bypass_cache": b, "result_form": "rows"|"groups",
-//              "include_stats": b}
+//   request   {"query": s, "deadline_ms": u, "offset": u, "limit": u,
+//              "count_only": b, "bypass_cache": b,
+//              "result_form": "rows"|"groups", "include_stats": b}
 //              — "query" required, everything else optional; unknown
 //              keys are rejected (a typo'd option silently ignored is a
 //              protocol bug).

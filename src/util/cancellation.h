@@ -3,7 +3,7 @@
 //
 // A CancellationSource owns a shared cancel flag; CancellationTokens are
 // cheap copyable views of it, threaded through ExecOptions into the matcher
-// tick check and the parallel chunk-claim loop. Cancellation is
+// tick check. Cancellation is
 // *cooperative*: Cancel() never interrupts anything by force — running code
 // polls cancelled() at its existing amortized check points and unwinds, so
 // a cancelled query stops within one tick window (~64 recursion steps)

@@ -1,8 +1,8 @@
 // Deterministic fault injection for the serving stack (docs/ARCHITECTURE.md,
 // "Failure semantics").
 //
-// Named sites on the hot request path (engine execution, parallel chunk
-// dispatch, artifact open, service execution) consult the process-global
+// Named sites on the hot request path (engine execution, artifact open,
+// service execution) consult the process-global
 // FaultInjector. By default every site is a no-op costing one relaxed
 // atomic load — the hook is compiled in ALWAYS, including release builds,
 // so the code paths tests exercise under injected failure are byte-for-byte
@@ -45,8 +45,6 @@ namespace faults {
 inline constexpr const char kServiceExecute[] = "service.execute";
 /// AmberEngine::Execute, before planning/matching.
 inline constexpr const char kEngineExecute[] = "engine.execute";
-/// parallel_exec worker, before each claimed chunk runs.
-inline constexpr const char kParallelChunk[] = "parallel.chunk";
 /// QueryService::QueryStream, before each page handoff to the PageSink.
 inline constexpr const char kServiceStream[] = "service.stream";
 /// HttpServer, before each response/page write to a client socket — a

@@ -1,13 +1,11 @@
-// A fixed-size thread pool used by the optional parallel query mode
-// (the paper's "parallel processing version" future-work item), by
-// parallel index construction, and — as a long-lived pool shared across
-// requests — by the serving runtime (server/query_service.h).
+// A fixed-size thread pool used by parallel index construction (the
+// offline stage) and, as a long-lived pool of connection handlers, by the
+// HTTP transport (server/http_server.h).
 //
 // Sharing caveat: Wait() and ParallelFor() are whole-pool barriers (they
 // wait for EVERY outstanding task, not just the caller's). Callers that
 // share one pool across concurrent producers must track their own task
-// completion (core/parallel_exec.cc uses a per-query std::latch) and use
-// only Submit().
+// completion and use only Submit().
 
 #ifndef AMBER_UTIL_THREAD_POOL_H_
 #define AMBER_UTIL_THREAD_POOL_H_
@@ -27,10 +25,10 @@ namespace amber {
 /// a no-op. The destructor drains outstanding tasks.
 class ThreadPool {
  public:
-  explicit ThreadPool(size_t num_threads) {
-    if (num_threads == 0) num_threads = 1;
-    workers_.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i) {
+  explicit ThreadPool(size_t size) {
+    if (size == 0) size = 1;
+    workers_.reserve(size);
+    for (size_t i = 0; i < size; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
@@ -40,7 +38,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return workers_.size(); }
+  size_t size() const { return workers_.size(); }
 
   /// Enqueues a task; returns false if the pool is shut down.
   bool Submit(std::function<void()> task) {
@@ -76,7 +74,7 @@ class ThreadPool {
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     if (n == 0) return;
-    size_t shards = std::min(n, num_threads() * 4);
+    size_t shards = std::min(n, size() * 4);
     size_t chunk = (n + shards - 1) / shards;
     for (size_t begin = 0; begin < n; begin += chunk) {
       size_t end = std::min(n, begin + chunk);

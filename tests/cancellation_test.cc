@@ -2,7 +2,7 @@
 // bounded-overshoot contract of the matcher integration — a tripped token
 // unwinds execution within one tick window (~64 recursion steps / scanned
 // candidates), exactly like a deadline expiry, reporting
-// ExecStats::cancelled; parallel chunks not yet claimed never start.
+// ExecStats::cancelled.
 
 #include <gtest/gtest.h>
 
@@ -213,62 +213,6 @@ TEST(CancellationMatcherTest, EmitMultiplicityLoopHonoursCancel) {
   EXPECT_GE(out->rows, 1u);
   EXPECT_LE(out->rows, kTickWindow + 2);
   EXPECT_EQ(out->rows, sink.rows);
-}
-
-TEST(CancellationMatcherTest, ParallelPreCancelledScanDispatchesNothing) {
-  // Ablation-B root scan: the interrupt is noticed DURING the scan, so a
-  // partial candidate list never reaches the workers — zero dispatches.
-  AmberEngine engine = MustBuild(CycleData(400));
-  CancellationSource source;
-  source.Cancel();
-  ExecOptions options;
-  options.num_threads = 4;
-  options.use_signature_index = false;
-  options.cancel = source.token();
-  auto out = engine.MaterializeSparql(kEdgeQuery, options);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_TRUE(out->stats.cancelled);
-  EXPECT_EQ(out->rows.size(), 0u);
-  EXPECT_EQ(out->stats.tasks_dispatched, 0u);
-}
-
-TEST(CancellationMatcherTest, ParallelPreCancelledChunksNeverRun) {
-  // R-tree root path: candidates compute, chunks are dispatched — but the
-  // claim gate sees the trip before ANY chunk executes, so the matcher
-  // never recurses and zero rows come back.
-  AmberEngine engine = MustBuild(CycleData(400));
-  CancellationSource source;
-  source.Cancel();
-  ExecOptions options;
-  options.num_threads = 4;
-  options.cancel = source.token();
-  auto out = engine.MaterializeSparql(kEdgeQuery, options);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_TRUE(out->stats.cancelled);
-  EXPECT_EQ(out->rows.size(), 0u);
-  EXPECT_EQ(out->stats.recursion_calls, 0u);
-}
-
-TEST(CancellationMatcherTest, ParallelMidStreamCancelStopsEarly) {
-  AmberEngine engine = MustBuild(StarData(500));
-  CancellationSource source;
-  ExecOptions options;
-  options.num_threads = 4;
-  options.cancel = source.token();
-  struct TrippingSink : RowSink {
-    CancellationSource* source;
-    uint64_t rows = 0;
-    bool OnRow(std::span<const std::string>) override {
-      if (++rows == 1) source->Cancel();
-      return true;
-    }
-  } sink;
-  sink.source = &source;
-  auto out = engine.StreamSparql(kStarQuery, options, &sink);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_TRUE(out->stats.cancelled);
-  EXPECT_GE(out->rows, 1u);
-  EXPECT_LT(out->rows, 500u);  // stopped well before the full result
 }
 
 TEST(CancellationMatcherTest, CancelledRunNeverPoisonsLaterRuns) {

@@ -259,23 +259,19 @@ TEST(CandInitTest, EngineEntryPointsAgreeAcrossSeedPaths) {
     ASSERT_TRUE(want_count.ok()) << want_count.status();
 
     for (bool use_signature_index : {true, false}) {
-      for (int threads : {1, 2, 4}) {
-        SCOPED_TRACE("signature=" + std::to_string(use_signature_index) +
-                     " threads=" + std::to_string(threads));
-        ExecOptions options;
-        options.use_signature_index = use_signature_index;
-        options.num_threads = threads;
-        auto got = engine.MaterializeSparql(text, options);
-        ASSERT_TRUE(got.ok()) << got.status();
-        EXPECT_EQ(got->rows, want->rows);
-        EXPECT_EQ(got->stats.initial_candidates,
-                  want->stats.initial_candidates);
-        auto count = engine.CountSparql(text, options);
-        ASSERT_TRUE(count.ok()) << count.status();
-        EXPECT_EQ(count->count, want_count->count);
-        EXPECT_EQ(count->stats.initial_candidates,
-                  want_count->stats.initial_candidates);
-      }
+      SCOPED_TRACE("signature=" + std::to_string(use_signature_index));
+      ExecOptions options;
+      options.use_signature_index = use_signature_index;
+      auto got = engine.MaterializeSparql(text, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->rows, want->rows);
+      EXPECT_EQ(got->stats.initial_candidates,
+                want->stats.initial_candidates);
+      auto count = engine.CountSparql(text, options);
+      ASSERT_TRUE(count.ok()) << count.status();
+      EXPECT_EQ(count->count, want_count->count);
+      EXPECT_EQ(count->stats.initial_candidates,
+                want_count->stats.initial_candidates);
     }
   }
 }

@@ -1,7 +1,7 @@
 // Engine-level streaming (QueryEngine::Stream): rows leave through the
-// RowSink in exact Materialize order — serial, parallel (the ordered
-// chunk fan-in), DISTINCT, LIMIT — so a streamed result is bit-identical
-// to the materialized one, and a stopped stream is an exact prefix.
+// RowSink in exact Materialize order — DISTINCT and LIMIT included — so a
+// streamed result is bit-identical to the materialized one, and a stopped
+// stream is an exact prefix.
 // Also covers the base-class materialize-and-replay default against a
 // baseline engine.
 
@@ -62,14 +62,14 @@ std::vector<std::string> QueryTexts(const std::vector<Triple>& data) {
 }
 
 /// Streams `text` under `options` and checks the result is bit-identical
-/// to the SERIAL materialized reference (rows, order, var names, counts).
+/// to the materialized reference (rows, order, var names, counts).
 void CheckStreamMatchesSerialReference(AmberEngine& engine,
                                        const std::string& text,
                                        const ExecOptions& options) {
   SCOPED_TRACE(text);
-  ExecOptions serial;  // num_threads = 1: THE reference semantics
-  serial.max_rows = options.max_rows;
-  auto ref = engine.MaterializeSparql(text, serial);
+  ExecOptions reference;
+  reference.max_rows = options.max_rows;
+  auto ref = engine.MaterializeSparql(text, reference);
   ASSERT_TRUE(ref.ok()) << ref.status();
 
   CollectingRowSink sink;
@@ -114,57 +114,29 @@ TEST_F(AmberEngineStreamTest, SerialStreamMatchesMaterialize) {
   }
 }
 
-TEST_F(AmberEngineStreamTest, ParallelStreamMatchesSerialMaterialize) {
-  ExecOptions options;
-  options.num_threads = 4;
-  for (const std::string& text : *texts_) {
-    CheckStreamMatchesSerialReference(*engine_, text, options);
-  }
-}
-
-TEST_F(AmberEngineStreamTest, TinyChunkBufferStillDeterministic) {
-  // buffer_rows = 1 forces maximal backpressure: every non-head producer
-  // blocks after one row. Order and content must not change.
-  ExecOptions options;
-  options.num_threads = 4;
-  options.stream_chunk_buffer_rows = 1;
-  for (const std::string& text : *texts_) {
-    CheckStreamMatchesSerialReference(*engine_, text, options);
-  }
-}
-
 TEST_F(AmberEngineStreamTest, MaxRowsCapsStream) {
   ExecOptions options;
   options.max_rows = 5;
   for (const std::string& text : *texts_) {
     CheckStreamMatchesSerialReference(*engine_, text, options);
   }
-  ExecOptions parallel = options;
-  parallel.num_threads = 3;
-  for (const std::string& text : *texts_) {
-    CheckStreamMatchesSerialReference(*engine_, text, parallel);
-  }
 }
 
 TEST_F(AmberEngineStreamTest, SinkStopDeliversExactPrefix) {
-  for (int threads : {1, 4}) {
-    ExecOptions options;
-    options.num_threads = threads;
-    for (const std::string& text : *texts_) {
-      SCOPED_TRACE(text + " threads=" + std::to_string(threads));
-      auto ref = engine_->MaterializeSparql(text, ExecOptions{});
-      ASSERT_TRUE(ref.ok()) << ref.status();
-      if (ref->rows.size() < 2) continue;
-      const uint64_t stop_after = ref->rows.size() / 2;
-      CollectingRowSink sink(stop_after);
-      auto streamed = engine_->StreamSparql(text, options, &sink);
-      ASSERT_TRUE(streamed.ok()) << streamed.status();
-      EXPECT_TRUE(streamed->sink_stopped);
-      EXPECT_EQ(streamed->rows, stop_after);
-      ASSERT_EQ(sink.rows().size(), stop_after);
-      for (size_t i = 0; i < stop_after; ++i) {
-        EXPECT_EQ(sink.rows()[i], ref->rows[i]) << "row " << i;
-      }
+  for (const std::string& text : *texts_) {
+    SCOPED_TRACE(text);
+    auto ref = engine_->MaterializeSparql(text, ExecOptions{});
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    if (ref->rows.size() < 2) continue;
+    const uint64_t stop_after = ref->rows.size() / 2;
+    CollectingRowSink sink(stop_after);
+    auto streamed = engine_->StreamSparql(text, ExecOptions{}, &sink);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    EXPECT_TRUE(streamed->sink_stopped);
+    EXPECT_EQ(streamed->rows, stop_after);
+    ASSERT_EQ(sink.rows().size(), stop_after);
+    for (size_t i = 0; i < stop_after; ++i) {
+      EXPECT_EQ(sink.rows()[i], ref->rows[i]) << "row " << i;
     }
   }
 }
@@ -192,11 +164,10 @@ class TrippingRowSink : public RowSink {
 };
 
 TEST(AmberEngineStreamCancelTest, TokenTripMidStreamDeliversExactPrefix) {
-  // A token tripped mid-stream cuts the running head chunk short. The
-  // stream must end there: a later chunk's buffered rows may never follow
-  // a partial chunk. A dense graph and an all-core 4-cycle give every
-  // chunk hundreds of rows and recursion steps, so the head chunk notices
-  // the token long before it could finish.
+  // A token tripped mid-stream ends the stream within one tick window, and
+  // what was delivered is an exact prefix of the materialized rows. A
+  // dense graph and an all-core 4-cycle give the query thousands of rows,
+  // so the matcher notices the token long before it could finish.
   std::vector<Triple> data;
   Rng rng(77);
   for (int v = 0; v < 60; ++v) {
@@ -213,24 +184,19 @@ TEST(AmberEngineStreamCancelTest, TokenTripMidStreamDeliversExactPrefix) {
   auto ref = engine.MaterializeSparql(text, ExecOptions{});
   ASSERT_TRUE(ref.ok()) << ref.status();
   ASSERT_GT(ref->rows.size(), 1000u);
-  for (int threads : {2, 4}) {
-    for (int rep = 0; rep < 20; ++rep) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " rep=" + std::to_string(rep));
-      CancellationSource cancel;
-      ExecOptions options;
-      options.num_threads = threads;
-      options.stream_chunk_buffer_rows = 1 + rep % 8;
-      options.cancel = cancel.token();
-      TrippingRowSink sink(500 + 200 * rep, &cancel);
-      auto streamed = engine.StreamSparql(text, options, &sink);
-      ASSERT_TRUE(streamed.ok()) << streamed.status();
-      ASSERT_LT(sink.rows().size(), ref->rows.size());
-      EXPECT_TRUE(streamed->stats.cancelled);
-      for (size_t i = 0; i < sink.rows().size(); ++i) {
-        ASSERT_EQ(sink.rows()[i], ref->rows[i])
-            << "prefix diverged at row " << i;
-      }
+  for (int rep = 0; rep < 20; ++rep) {
+    SCOPED_TRACE("rep=" + std::to_string(rep));
+    CancellationSource cancel;
+    ExecOptions options;
+    options.cancel = cancel.token();
+    TrippingRowSink sink(500 + 200 * rep, &cancel);
+    auto streamed = engine.StreamSparql(text, options, &sink);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    ASSERT_LT(sink.rows().size(), ref->rows.size());
+    EXPECT_TRUE(streamed->stats.cancelled);
+    for (size_t i = 0; i < sink.rows().size(); ++i) {
+      ASSERT_EQ(sink.rows()[i], ref->rows[i])
+          << "prefix diverged at row " << i;
     }
   }
 }

@@ -1,6 +1,6 @@
 // End-to-end tests of the AMbER engine: counting vs materializing, DISTINCT,
 // LIMIT, timeouts, unsatisfiable queries, disconnected queries, self-loops,
-// parallel mode, offline-artifact round-trips and ablation options.
+// offline-artifact round-trips and ablation options.
 
 #include <gtest/gtest.h>
 
@@ -180,21 +180,6 @@ TEST(AmberEngineTest, TimeoutIsReportedNotFatal) {
   if (count->stats.timed_out) {
     EXPECT_LT(count->stats.elapsed_ms, 1000.0);
   }
-}
-
-TEST(AmberEngineTest, ParallelCountMatchesSerial) {
-  auto triples = testutil::RandomDataset(11, 60, 500, 3);
-  AmberEngine engine = MustBuild(triples);
-  const char* query =
-      "SELECT ?a ?c WHERE { ?a <urn:p0> ?b . ?b <urn:p1> ?c . "
-      "?a <urn:p2> ?d . }";
-  auto serial = engine.CountSparql(query, {});
-  ASSERT_TRUE(serial.ok());
-  ExecOptions parallel;
-  parallel.num_threads = 4;
-  auto par = engine.CountSparql(query, parallel);
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(par->count, serial->count);
 }
 
 TEST(AmberEngineTest, AblationOptionsPreserveResults) {

@@ -2,7 +2,7 @@
 // builder totals, DISTINCT collision fallback, cursor order and Skip
 // arithmetic — plus engine-level differential checks that the factorized
 // result form counts, paginates and expands bit-identically to the flat
-// row pipeline, serially and in parallel.
+// row pipeline.
 
 #include "core/factorized.h"
 
@@ -332,34 +332,6 @@ TEST_F(FactorizedEngineTest, DeepOffsetPageExpandsOnlyTheBoundary) {
   }
 }
 
-TEST_F(FactorizedEngineTest, ParallelFactorizedMatchesSerial) {
-  for (const char* text :
-       {kTwoSatelliteQuery,
-        "SELECT DISTINCT ?a WHERE { ?c <urn:p0> ?a . }",
-        "SELECT ?c ?a WHERE { ?c <urn:p0> ?a . } LIMIT 9"}) {
-    SCOPED_TRACE(text);
-    SelectQuery q = Parse(text);
-    ExecOptions serial;
-    serial.result_form = ResultForm::kFactorized;
-    ExecOptions par = serial;
-    par.num_threads = 3;
-
-    auto sf = engine_->Factorize(q, serial);
-    auto pf = engine_->Factorize(q, par);
-    ASSERT_TRUE(sf.ok());
-    ASSERT_TRUE(pf.ok());
-    EXPECT_EQ(pf->result.total_rows, sf->result.total_rows);
-    EXPECT_EQ(pf->result.groups.size(), sf->result.groups.size());
-    EXPECT_EQ(AllRows(pf->result), AllRows(sf->result));
-
-    auto sm = engine_->Materialize(q, serial);
-    auto pm = engine_->Materialize(q, par);
-    ASSERT_TRUE(sm.ok());
-    ASSERT_TRUE(pm.ok());
-    EXPECT_EQ(pm->rows, sm->rows);
-  }
-}
-
 TEST_F(FactorizedEngineTest, FlatFormWrapsSingletonGroups) {
   SelectQuery q = Parse("SELECT ?a ?c WHERE { ?c <urn:p0> ?a . }");
   auto flat = engine_->Materialize(q, {});
@@ -416,8 +388,8 @@ TEST_F(FactorizedEngineTest, ExplainReportsResultForm) {
 }
 
 // Random differential sweep: flat vs factorized materialization must stay
-// bit-identical over random data/queries, serial and parallel, with and
-// without DISTINCT and caps.
+// bit-identical over random data/queries, with and without DISTINCT and
+// caps.
 TEST(FactorizedDifferentialTest, RandomQueriesAgreeAcrossForms) {
   for (uint64_t seed : {41u, 42u, 43u}) {
     auto data = testutil::RandomDataset(seed, 12, 60, 3);
@@ -431,19 +403,15 @@ TEST(FactorizedDifferentialTest, RandomQueriesAgreeAcrossForms) {
       ASSERT_TRUE(parsed.ok());
       auto flat = engine->Materialize(*parsed, {});
       ASSERT_TRUE(flat.ok());
-      for (int threads : {1, 2}) {
-        for (uint64_t cap : {uint64_t{0}, uint64_t{3}}) {
-          ExecOptions opts;
-          opts.result_form = ResultForm::kFactorized;
-          opts.num_threads = threads;
-          opts.max_rows = cap;
-          auto got = engine->Materialize(*parsed, opts);
-          ASSERT_TRUE(got.ok());
-          std::vector<std::vector<std::string>> want = flat->rows;
-          if (cap != 0 && want.size() > cap) want.resize(cap);
-          EXPECT_EQ(got->rows, want)
-              << "threads=" << threads << " cap=" << cap;
-        }
+      for (uint64_t cap : {uint64_t{0}, uint64_t{3}}) {
+        ExecOptions opts;
+        opts.result_form = ResultForm::kFactorized;
+        opts.max_rows = cap;
+        auto got = engine->Materialize(*parsed, opts);
+        ASSERT_TRUE(got.ok());
+        std::vector<std::vector<std::string>> want = flat->rows;
+        if (cap != 0 && want.size() > cap) want.resize(cap);
+        EXPECT_EQ(got->rows, want) << "cap=" << cap;
       }
     }
   }

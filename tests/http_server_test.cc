@@ -131,9 +131,10 @@ AmberEngine* HttpServerTest::engine_ = nullptr;
 
 TEST_F(HttpServerTest, HealthzAndStats) {
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(engine_, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.port(), 0);
 
@@ -170,9 +171,10 @@ TEST_F(HttpServerTest, HealthzAndStats) {
 // QueryService::Query answer of the same request.
 TEST_F(HttpServerTest, QueryResponseBytesMatchInProcessWire) {
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(engine_, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   HttpClient client(server.port());
 
@@ -220,10 +222,11 @@ TEST_F(HttpServerTest, QueryResponseBytesMatchInProcessWire) {
 
 TEST_F(HttpServerTest, StreamConcatenationMatchesQuery) {
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   sopts.stream_page_rows = 3;
   QueryService service(engine_, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   HttpClient client(server.port());
 
@@ -270,9 +273,10 @@ TEST(HttpGroupsTest, GroupsStreamShipsAtLeastFiveTimesFewerBytes) {
   // mode, one group of 6 short lists in groups mode.
   AmberEngine engine = MustBuild(StarData(/*hubs=*/2, /*fanout=*/3));
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(&engine, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   HttpClient client(server.port());
 
@@ -343,10 +347,11 @@ TEST(HttpDisconnectTest, AbandonedStreamCancelsRequest) {
   }
   AmberEngine engine = MustBuild(data);
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   sopts.stream_page_rows = 1;  // one row per chunk: many write points
   QueryService service(&engine, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   HttpClient client(server.port());
 
@@ -382,9 +387,9 @@ TEST(HttpDisconnectTest, AbandonedStreamCancelsRequest) {
 TEST(HttpTransportErrorTest, ErrorMapping) {
   AmberEngine engine = MustBuild(ChainData(8));
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(&engine, sopts);
   HttpServerOptions hopts;
+  hopts.max_connections = 2;
   hopts.max_header_bytes = 512;
   hopts.max_request_bytes = 2048;
   hopts.read_timeout = milliseconds(500);
@@ -408,14 +413,16 @@ TEST(HttpTransportErrorTest, ErrorMapping) {
   EXPECT_EQ(wm->status, 405);
 
   // Malformed JSON and unknown request keys -> 400 (bad_requests counts).
-  for (const char* body : {"{", "not json", "{\"nope\":1}",
-                           "{\"query\":42}", "{\"query\":\"x\",\"zzz\":1}"}) {
+  for (const char* body :
+       {"{", "not json", "{\"nope\":1}", "{\"query\":42}",
+        "{\"query\":\"x\",\"zzz\":1}",
+        "{\"query\":\"x\",\"thread_budget\":2}"}) {
     SCOPED_TRACE(body);
     auto bad = client.Post("/query", body);
     ASSERT_TRUE(bad.ok()) << bad.status();
     EXPECT_EQ(bad->status, 400);
   }
-  EXPECT_GE(server.stats().bad_requests, 5u);
+  EXPECT_GE(server.stats().bad_requests, 6u);
 
   // A parseable request whose query text is invalid SPARQL -> 400 too
   // (the service's kInvalidArgument maps through StatusCodeToHttp).
@@ -464,9 +471,10 @@ TEST(HttpTransportErrorTest, ErrorMapping) {
 TEST(HttpKeepAliveTest, OneConnectionManyRequests) {
   AmberEngine engine = MustBuild(ChainData(8));
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(&engine, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   HttpClient client(server.port());
 
@@ -483,9 +491,10 @@ TEST(HttpKeepAliveTest, OneConnectionManyRequests) {
 TEST(HttpAdmissionTest, OverflowConnectionsShedAtTheDoor) {
   AmberEngine engine = MustBuild(ChainData(8));
   ServiceOptions sopts;
-  sopts.pool_threads = 2;  // effective max_connections = 1
   QueryService service(&engine, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 1;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
 
   HttpClient holder(server.port());
@@ -512,28 +521,15 @@ TEST(HttpAdmissionTest, OverflowConnectionsShedAtTheDoor) {
   EXPECT_EQ(status, 200);
 }
 
-TEST(HttpAdmissionTest, StartRejectsCapacityInvariantViolation) {
-  AmberEngine engine = MustBuild(ChainData(8));
-  ServiceOptions sopts;
-  sopts.pool_threads = 3;
-  QueryService service(&engine, sopts);
-  HttpServerOptions hopts;
-  hopts.max_connections = 3;  // == pool_threads: no spare worker
-  HttpServer server(&service, hopts);
-  Status s = server.Start();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
 // Framing fuzz: hostile byte streams must never crash the server —
 // every input yields a 4xx/431-class response or a clean close, and the
 // server keeps serving clean requests afterwards.
 TEST(HttpChaosTest, FramingFuzzNeverKillsTheServer) {
   AmberEngine engine = MustBuild(ChainData(8));
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(&engine, sopts);
   HttpServerOptions hopts;
+  hopts.max_connections = 2;
   hopts.read_timeout = milliseconds(300);
   hopts.max_header_bytes = 1024;
   HttpServer server(&service, hopts);
@@ -595,9 +591,10 @@ TEST(HttpChaosTest, FramingFuzzNeverKillsTheServer) {
 TEST(HttpChaosTest, WriteFaultsAbortConnectionsNotTheServer) {
   AmberEngine engine = MustBuild(ChainData(8));
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(&engine, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   HttpClient client(server.port());
   client.set_recv_timeout(milliseconds(2000));
@@ -630,9 +627,10 @@ TEST(HttpChaosTest, WriteFaultsAbortConnectionsNotTheServer) {
 TEST(HttpShutdownTest, StopDrainsServerAndService) {
   AmberEngine engine = MustBuild(ChainData(8));
   ServiceOptions sopts;
-  sopts.pool_threads = 3;
   QueryService service(&engine, sopts);
-  HttpServer server(&service);
+  HttpServerOptions hopts;
+  hopts.max_connections = 2;
+  HttpServer server(&service, hopts);
   ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 

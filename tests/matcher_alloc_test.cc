@@ -106,58 +106,6 @@ TEST(MatcherAllocTest, SteadyStateRunIsAllocationFree) {
   EXPECT_EQ(stats.embeddings_found, warm_stats.embeddings_found);
 }
 
-TEST(MatcherAllocTest, SteadyStateWorkerChunkRunsAreAllocationFree) {
-  // The parallel mode's worker loop: one MatcherScratch per worker, one
-  // Matcher borrowing it, Run() per claimed chunk over a slice of the root
-  // candidates. After the first (warm-up) chunk grows the arena,
-  // subsequent chunk runs must allocate nothing — the property that makes
-  // per-worker arenas safe to keep across a whole chunk queue.
-  EngineParts parts = BuildParts(TriangleDataset());
-  auto parsed = SparqlParser::Parse(
-      "SELECT ?h ?m ?t ?l WHERE { ?h <urn:p> ?m . ?m <urn:q> ?t . "
-      "?h <urn:r> ?t . ?h <urn:s> ?l . }");
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  auto qg = QueryGraph::Build(*parsed, parts.dicts);
-  ASSERT_TRUE(qg.ok()) << qg.status();
-  QueryPlan plan = PlanQuery(*qg);
-
-  ExecOptions options;
-  MatcherScratch scratch(parts.graph, parts.indexes, *qg, plan, options);
-  Matcher matcher(parts.graph, parts.indexes, *qg, plan, options, &scratch);
-
-  Matcher root(parts.graph, parts.indexes, *qg, plan, options);
-  const std::vector<VertexId> all = root.ComputeRootCandidates();
-  ASSERT_GT(all.size(), 4u);
-  const size_t chunk = (all.size() + 3) / 4;
-
-  // Warm-up run over the full candidate set (grows the worker arena to its
-  // high-water mark, as a worker's first chunks do).
-  CountingSink warm;
-  ExecStats warm_stats;
-  ASSERT_TRUE(matcher.Run(&warm, &warm_stats).ok());
-  ASSERT_GT(warm.count(), 0u);
-
-  // Steady state: every chunk run allocates nothing, and the chunk counts
-  // sum to the full serial count.
-  uint64_t total = 0;
-  const uint64_t before = g_total_allocs.load(std::memory_order_relaxed);
-  for (size_t begin = 0; begin < all.size(); begin += chunk) {
-    const size_t len = std::min(chunk, all.size() - begin);
-    CountingSink sink;
-    ExecStats stats;
-    ASSERT_TRUE(matcher
-                    .Run(&sink, &stats,
-                         std::span<const VertexId>(all.data() + begin, len))
-                    .ok());
-    total += sink.count();
-  }
-  const uint64_t after = g_total_allocs.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << "steady-state worker chunk runs performed " << (after - before)
-      << " heap allocations";
-  EXPECT_EQ(total, warm.count());
-}
-
 TEST(MatcherAllocTest, ExecStatsExposeArenaAndKernelCounters) {
   EngineParts parts = BuildParts(TriangleDataset());
   auto parsed = SparqlParser::Parse(

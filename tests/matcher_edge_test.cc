@@ -175,18 +175,6 @@ TEST(MatcherEdgeTest, CoreChainWithPerDepthSatellites) {
   }
 }
 
-TEST(MatcherEdgeTest, ParallelAndSerialAgreeUnderLimit) {
-  auto data = testutil::RandomDataset(31, 40, 600, 3);
-  AmberEngine engine = MustBuild(data);
-  ExecOptions par;
-  par.num_threads = 4;
-  par.max_rows = 100;
-  auto r = engine.CountSparql(
-      "SELECT ?a WHERE { ?a <urn:p0> ?b . ?b <urn:p1> ?c . }", par);
-  ASSERT_TRUE(r.ok());
-  EXPECT_LE(r->count, 100u);
-}
-
 TEST(MatcherEdgeTest, AnchorOnSatelliteVertex) {
   // The satellite itself carries an IRI anchor: candidates must satisfy
   // both the core edge and the anchor.

@@ -117,7 +117,6 @@ std::vector<std::thread> Saturate(QueryService& service,
 TEST(QueryServiceAdmissionTest, SaturationRejectsWithResourceExhausted) {
   BlockingEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 2;
   options.max_queued = 0;  // no waiting room: reject immediately
   QueryService service(&engine, options);
@@ -149,7 +148,6 @@ TEST(QueryServiceAdmissionTest, SaturationRejectsWithResourceExhausted) {
 TEST(QueryServiceAdmissionTest, RejectionsLeakNoAllocationsOrTasks) {
   BlockingEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 1;
   options.max_queued = 0;
   options.cache_entries = 8;
@@ -164,24 +162,18 @@ TEST(QueryServiceAdmissionTest, RejectionsLeakNoAllocationsOrTasks) {
     ASSERT_FALSE(resp.ok());
   }
 
-  const uint64_t tasks_before = service.Stats().exec.tasks_dispatched;
   const int64_t live_before = g_live_allocs.load(std::memory_order_relaxed);
   for (int i = 0; i < 16; ++i) {
-    RequestOptions req;
-    req.thread_budget = 2;  // would borrow pool workers if admitted
-    auto resp = service.Query(kQuery, req);
+    auto resp = service.Query(kQuery, {});
     ASSERT_FALSE(resp.ok());
     EXPECT_EQ(resp.status().code(), StatusCode::kResourceExhausted);
   }
   const int64_t live_after = g_live_allocs.load(std::memory_order_relaxed);
-  const uint64_t tasks_after = service.Stats().exec.tasks_dispatched;
 
-  // No scratch arenas, retained handles or queue nodes left behind...
+  // No scratch arenas, retained handles or queue nodes left behind.
   EXPECT_EQ(live_after - live_before, 0)
       << "rejected requests leaked " << (live_after - live_before)
       << " live heap allocations";
-  // ...and no work was ever handed to the shared pool.
-  EXPECT_EQ(tasks_after, tasks_before);
 
   engine.ReleaseAll();
   for (auto& t : holders) t.join();
@@ -190,7 +182,6 @@ TEST(QueryServiceAdmissionTest, RejectionsLeakNoAllocationsOrTasks) {
 TEST(QueryServiceAdmissionTest, QueueOverflowRejectsButQueueAdmitsLater) {
   BlockingEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 1;
   options.max_queued = 1;  // one seat of waiting room
   QueryService service(&engine, options);
@@ -223,7 +214,6 @@ TEST(QueryServiceAdmissionTest, QueueOverflowRejectsButQueueAdmitsLater) {
 TEST(QueryServiceAdmissionTest, DeadlineExpiresInQueueAsTimeoutResponse) {
   BlockingEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 1;
   options.max_queued = 4;
   QueryService service(&engine, options);
@@ -257,7 +247,6 @@ TEST(QueryServiceAdmissionTest, DeadlineExpiresInQueueAsTimeoutResponse) {
 TEST(QueryServiceAdmissionTest, DeadlineIsPerQueryBudgetUnderContention) {
   BlockingEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 1;
   options.max_queued = 4;
   QueryService service(&engine, options);
@@ -296,7 +285,6 @@ TEST(QueryServiceAdmissionTest, DeadlineIsPerQueryBudgetUnderContention) {
 TEST(QueryServiceAdmissionTest, CacheHitsBypassAdmissionWhenSaturated) {
   BlockingEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 1;
   options.max_queued = 0;
   options.cache_entries = 8;

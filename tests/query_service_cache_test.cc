@@ -348,7 +348,6 @@ const char* kSizedQ3 = "SELECT ?a WHERE { ?a <urn:p2> ?b . }";
 /// Accounted bytes of one retained entry of `engine`'s making.
 uint64_t OneEntryBytes(SizedRowsEngine* engine) {
   ServiceOptions options;
-  options.pool_threads = 1;
   options.cache_entries = 4;
   QueryService service(engine, options);
   EXPECT_TRUE(service.Query(kSizedQ1, {}).ok());
@@ -363,7 +362,6 @@ TEST(QueryServiceCacheTest, ByteBudgetEvictsByBytesAndTracksGauge) {
 
   SizedRowsEngine engine(8, 64);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.cache_entries = 64;  // not binding: bytes evict first
   options.cache_bytes = entry_bytes * 5 / 2;  // room for two entries
   QueryService service(&engine, options);
@@ -398,7 +396,6 @@ TEST(QueryServiceCacheTest, OversizedEntryBypassesCache) {
 
   SizedRowsEngine engine(8, 64);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.cache_entries = 64;
   options.cache_bytes = entry_bytes - 1;  // one row entry never fits
   QueryService service(&engine, options);
@@ -429,7 +426,6 @@ TEST(QueryServiceCacheTest, OversizedEntryBypassesCache) {
 TEST(QueryServiceCacheTest, ByteBudgetZeroIsUnboundedButStillAccounted) {
   SizedRowsEngine engine(8, 64);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.cache_entries = 64;
   options.cache_bytes = 0;  // unbounded bytes
   QueryService service(&engine, options);
@@ -446,7 +442,6 @@ TEST(QueryServiceCacheTest, ByteBudgetZeroIsUnboundedButStillAccounted) {
 TEST(QueryServiceCacheTest, MergeGrowsTheByteGauge) {
   SizedRowsEngine engine(8, 64);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.cache_entries = 8;
   QueryService service(&engine, options);
 

@@ -1,7 +1,7 @@
 // Chaos battery for the hardened serving runtime: randomized, seed-logged
 // fault schedules (transient kUnavailable, allocation-pressure
 // kResourceExhausted, permanent kInternal, latency padding) armed at the
-// service.execute / engine.execute / parallel.chunk sites while 8
+// service.execute / engine.execute sites while 8
 // concurrent clients hammer one QueryService over both engine forms
 // (fresh build, mmap OpenFile). The invariants, per
 // response, every schedule:
@@ -84,7 +84,6 @@ std::vector<ChaosCase> BuildCases(AmberEngine& reference,
       "SELECT ?a ?c WHERE { ?a <urn:p0> ?b . ?b <urn:p1> ?c . } LIMIT 7");
 
   ServiceOptions serial;
-  serial.pool_threads = 1;
   serial.cache_entries = 0;  // every reference is a fresh execution
   QueryService service(&reference, serial);
 
@@ -114,8 +113,7 @@ std::vector<ChaosCase> BuildCases(AmberEngine& reference,
 std::string ArmRandomSchedule(std::mt19937_64& rng,
                               bool with_stream_site = false) {
   std::vector<const char*> sites = {faults::kServiceExecute,
-                                    faults::kEngineExecute,
-                                    faults::kParallelChunk};
+                                    faults::kEngineExecute};
   if (with_stream_site) sites.push_back(faults::kServiceStream);
   const StatusCode codes[] = {
       StatusCode::kUnavailable,       // transient (retried)
@@ -154,17 +152,13 @@ std::string ArmRandomSchedule(std::mt19937_64& rng,
 /// Random ServiceOptions for one schedule: every robustness knob varies.
 ServiceOptions RandomOptions(std::mt19937_64& rng) {
   ServiceOptions options;
-  options.pool_threads = 2;
   options.max_in_flight = 4 + rng() % 5;
   options.max_queued = rng() % 9;
-  options.default_thread_budget = 1 + rng() % 3;
   options.cache_entries = (rng() % 2 == 0) ? 8 : 0;
   options.cache_bytes = (rng() % 2 == 0) ? (16ull << 10) : (64ull << 20);
   options.single_flight = rng() % 2 == 0;
   options.max_retries = rng() % 3;
   options.initial_backoff = std::chrono::milliseconds(1);
-  options.shed_high_water = (rng() % 2 == 0) ? 2 : 0;
-  options.shed_thread_budget = 1;
   if (rng() % 4 == 0) {
     options.default_deadline = std::chrono::milliseconds(25);
   }
@@ -195,7 +189,6 @@ void RunOneSchedule(QueryEngine* engine, const std::vector<ChaosCase>& cases,
         for (int qi = 0; qi < kRequestsPerClient; ++qi) {
           const ChaosCase& c = cases[crng() % cases.size()];
           RequestOptions req = c.request;
-          req.thread_budget = 1 + crng() % 3;
           if (crng() % 8 == 0) req.bypass_cache = true;
           auto resp = service.Query(c.text, req);
           if (!resp.ok()) {
@@ -277,7 +270,7 @@ class ChaosPageSink : public PageSink {
 /// Runs one streaming schedule: 6 clients × 3 requests mixing full
 /// consumption, sink aborts, token trips after K pages, pre-cancelled
 /// materializing requests and delayed cancels (token trips during retry
-/// backoff) — under randomized faults on all four serving-path sites.
+/// backoff) — under randomized faults on all three serving-path sites.
 /// Invariants, per response:
 ///
 ///   - an error is one of the injected codes or admission's rejection;
@@ -308,7 +301,6 @@ void RunOneStreamSchedule(QueryEngine* engine,
         for (int qi = 0; qi < kRequestsPerClient; ++qi) {
           const StreamCase& c = cases[crng() % cases.size()];
           RequestOptions req;
-          req.thread_budget = 1 + crng() % 3;
           const int mode = crng() % 5;
 
           if (mode == 3) {

@@ -1,12 +1,10 @@
 // Hardened-serving semantics: single-flight coalescing of concurrent
 // cache misses (exactly one execution; leader outcomes — success, error,
 // timeout — propagate to every follower and errors are never cached),
-// deadline-aware transient-failure retries with bounded backoff, and
-// graceful overload shedding (reduced thread budgets, not rejections).
+// and deadline-aware transient-failure retries with bounded backoff.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -31,15 +29,15 @@ class ScriptedEngine : public QueryEngine {
   std::string name() const override { return "Scripted"; }
 
   Result<CountResult> Count(const SelectQuery&,
-                            const ExecOptions& options) override {
-    AMBER_RETURN_IF_ERROR(Enter(options));
+                            const ExecOptions&) override {
+    AMBER_RETURN_IF_ERROR(Enter());
     CountResult r;
     r.count = 1;
     return r;
   }
   Result<MaterializedRows> Materialize(const SelectQuery& query,
-                                       const ExecOptions& options) override {
-    AMBER_RETURN_IF_ERROR(Enter(options));
+                                       const ExecOptions&) override {
+    AMBER_RETURN_IF_ERROR(Enter());
     MaterializedRows r;
     r.var_names = query.projection;
     r.rows.push_back(std::vector<std::string>(query.projection.size(), "x"));
@@ -78,16 +76,10 @@ class ScriptedEngine : public QueryEngine {
     return entered_;
   }
 
-  std::vector<int> SeenThreadBudgets() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return seen_threads_;
-  }
-
  private:
-  Status Enter(const ExecOptions& options) {
+  Status Enter() {
     std::unique_lock<std::mutex> lock(mu_);
     const int my_entry = ++entered_;
-    seen_threads_.push_back(options.num_threads);
     entered_cv_.notify_all();
     if (gated_) release_cv_.wait(lock, [&] { return released_; });
     if (my_entry <= fail_first_) {
@@ -104,14 +96,12 @@ class ScriptedEngine : public QueryEngine {
   bool released_ = false;
   int fail_first_ = 0;
   StatusCode fail_code_ = StatusCode::kUnavailable;
-  std::vector<int> seen_threads_;
 };
 
 TEST(QueryServiceSingleFlightTest, SixteenConcurrentMissesExecuteOnce) {
   ScriptedEngine engine;
   engine.SetGated(true);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 16;
   options.cache_entries = 8;
   QueryService service(&engine, options);
@@ -163,7 +153,6 @@ TEST(QueryServiceSingleFlightTest, LeaderFailurePropagatesAndIsNeverCached) {
   engine.SetGated(true);
   engine.FailFirst(1, StatusCode::kInternal);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 8;
   options.cache_entries = 8;
   QueryService service(&engine, options);
@@ -206,7 +195,6 @@ TEST(QueryServiceSingleFlightTest, FollowerDeadlineExpiresLeaderSurvives) {
   ScriptedEngine engine;
   engine.SetGated(true);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 8;
   options.cache_entries = 8;
   QueryService service(&engine, options);
@@ -243,7 +231,6 @@ TEST(QueryServiceSingleFlightTest, DisabledFlagExecutesEveryMiss) {
   ScriptedEngine engine;
   engine.SetGated(true);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_in_flight = 4;
   options.cache_entries = 8;
   options.single_flight = false;
@@ -269,7 +256,6 @@ TEST(QueryServiceRetryTest, TransientFailuresRetryUntilSuccess) {
   ScriptedEngine engine;
   engine.FailFirst(2, StatusCode::kUnavailable);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.cache_entries = 8;
   options.max_retries = 3;
   options.initial_backoff = std::chrono::milliseconds(1);
@@ -294,7 +280,6 @@ TEST(QueryServiceRetryTest, RetriesAreOffByDefault) {
   ScriptedEngine engine;
   engine.FailFirst(1, StatusCode::kUnavailable);
   ServiceOptions options;
-  options.pool_threads = 1;
   QueryService service(&engine, options);
   ASSERT_EQ(options.max_retries, 0);
 
@@ -309,7 +294,6 @@ TEST(QueryServiceRetryTest, NonTransientFailuresAreNotRetried) {
   ScriptedEngine engine;
   engine.FailFirst(1, StatusCode::kInternal);
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_retries = 3;
   options.initial_backoff = std::chrono::milliseconds(1);
   QueryService service(&engine, options);
@@ -325,7 +309,6 @@ TEST(QueryServiceRetryTest, BackoffLargerThanRemainingBudgetFailsFast) {
   ScriptedEngine engine;
   engine.FailFirst(1000, StatusCode::kUnavailable);  // never recovers
   ServiceOptions options;
-  options.pool_threads = 1;
   options.max_retries = 10;
   options.initial_backoff = std::chrono::milliseconds(200);
   QueryService service(&engine, options);
@@ -348,7 +331,6 @@ TEST(QueryServiceRetryTest, BackoffLargerThanRemainingBudgetFailsFast) {
 TEST(QueryServiceRetryTest, InjectedServiceFaultsAreRetried) {
   ScriptedEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.cache_entries = 8;
   options.max_retries = 1;
   options.initial_backoff = std::chrono::milliseconds(1);
@@ -367,75 +349,6 @@ TEST(QueryServiceRetryTest, InjectedServiceFaultsAreRetried) {
   EXPECT_EQ(service.Stats().retries, 1u);
   EXPECT_EQ(FaultInjector::Global().Hits(faults::kServiceExecute), 2u);
   EXPECT_EQ(FaultInjector::Global().Fires(faults::kServiceExecute), 1u);
-}
-
-TEST(QueryServiceShedTest, OverloadShedsParallelismNotRequests) {
-  ScriptedEngine engine;
-  engine.SetGated(true);
-  ServiceOptions options;
-  options.pool_threads = 4;
-  options.max_in_flight = 8;
-  options.max_queued = 0;
-  options.default_thread_budget = 4;
-  options.shed_high_water = 2;
-  options.shed_thread_budget = 1;
-  QueryService service(&engine, options);
-
-  constexpr int kClients = 4;
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&] {
-      RequestOptions req;
-      req.bypass_cache = true;
-      auto resp = service.Query(kQuery, req);
-      EXPECT_TRUE(resp.ok()) << resp.status();  // shed, never rejected
-    });
-  }
-  engine.AwaitEntered(kClients);
-  engine.ReleaseAll();
-  for (auto& t : clients) t.join();
-
-  // Admissions serialize: the first two concurrent executions keep the
-  // full budget of 4 threads; the two past the high-water mark run with
-  // the degraded budget of 1.
-  std::vector<int> budgets = engine.SeenThreadBudgets();
-  ASSERT_EQ(budgets.size(), 4u);
-  EXPECT_EQ(std::count(budgets.begin(), budgets.end(), 4), 2);
-  EXPECT_EQ(std::count(budgets.begin(), budgets.end(), 1), 2);
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.shed_thread_budgets, 2u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.queries, 4u);
-}
-
-TEST(QueryServiceShedTest, SheddingDisabledKeepsFullBudgets) {
-  ScriptedEngine engine;
-  engine.SetGated(true);
-  ServiceOptions options;
-  options.pool_threads = 4;
-  options.max_in_flight = 8;
-  options.default_thread_budget = 4;
-  QueryService service(&engine, options);
-  ASSERT_EQ(options.shed_high_water, 0);  // off by default
-
-  constexpr int kClients = 3;
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&] {
-      RequestOptions req;
-      req.bypass_cache = true;
-      auto resp = service.Query(kQuery, req);
-      EXPECT_TRUE(resp.ok()) << resp.status();
-    });
-  }
-  engine.AwaitEntered(kClients);
-  engine.ReleaseAll();
-  for (auto& t : clients) t.join();
-
-  for (int budget : engine.SeenThreadBudgets()) {
-    EXPECT_EQ(budget, 4);
-  }
-  EXPECT_EQ(service.Stats().shed_thread_budgets, 0u);
 }
 
 }  // namespace

@@ -98,7 +98,6 @@ AmberEngine* QueryServiceStreamTest::engine_ = nullptr;
 
 TEST_F(QueryServiceStreamTest, PagesConcatenateToQueryReference) {
   ServiceOptions options;
-  options.pool_threads = 2;
   options.stream_page_rows = 3;
   QueryService service(engine_, options);
 
@@ -116,29 +115,25 @@ TEST_F(QueryServiceStreamTest, PagesConcatenateToQueryReference) {
 
   for (const std::string& text : texts) {
     for (const auto& shape : shapes) {
-      for (int threads : {1, 3}) {
-        SCOPED_TRACE(text + " offset=" + std::to_string(shape.offset) +
-                     " limit=" + std::to_string(shape.limit) +
-                     " threads=" + std::to_string(threads));
-        RequestOptions request;
-        request.offset = shape.offset;
-        request.limit = shape.limit;
-        request.thread_budget = threads;
-        request.bypass_cache = true;
-        auto ref = service.Query(text, request);
-        ASSERT_TRUE(ref.ok()) << ref.status();
+      SCOPED_TRACE(text + " offset=" + std::to_string(shape.offset) +
+                   " limit=" + std::to_string(shape.limit));
+      RequestOptions request;
+      request.offset = shape.offset;
+      request.limit = shape.limit;
+      request.bypass_cache = true;
+      auto ref = service.Query(text, request);
+      ASSERT_TRUE(ref.ok()) << ref.status();
 
-        CollectingPageSink sink;
-        auto resp = service.QueryStream(text, request, &sink);
-        ASSERT_TRUE(resp.ok()) << resp.status();
-        CheckClassification(*resp);
-        EXPECT_TRUE(resp->complete);
-        EXPECT_TRUE(sink.saw_last);
-        EXPECT_EQ(resp->var_names, ref->var_names);
-        EXPECT_EQ(sink.rows, ref->rows);
-        EXPECT_EQ(resp->rows_streamed, ref->rows.size());
-        EXPECT_EQ(resp->pages, sink.pages);
-      }
+      CollectingPageSink sink;
+      auto resp = service.QueryStream(text, request, &sink);
+      ASSERT_TRUE(resp.ok()) << resp.status();
+      CheckClassification(*resp);
+      EXPECT_TRUE(resp->complete);
+      EXPECT_TRUE(sink.saw_last);
+      EXPECT_EQ(resp->var_names, ref->var_names);
+      EXPECT_EQ(sink.rows, ref->rows);
+      EXPECT_EQ(resp->rows_streamed, ref->rows.size());
+      EXPECT_EQ(resp->pages, sink.pages);
     }
   }
 }
@@ -363,7 +358,6 @@ class BlockingEngine : public QueryEngine {
 TEST(QueryServiceOrphanTest, OrphanedLeaderCancelledOnLastFollowerExit) {
   BlockingEngine engine;
   ServiceOptions options;
-  options.pool_threads = 1;
   options.single_flight = true;
   options.cache_entries = 16;
   QueryService service(&engine, options);
@@ -432,7 +426,6 @@ TEST(QueryServiceOrphanTest, ResolvedFollowersNeverOrphanTheLeader) {
 // to the flat stream, and a deep offset expands only the delivered rows.
 TEST_F(QueryServiceStreamTest, FactorizedStreamMatchesFlatStream) {
   ServiceOptions flat_opts;
-  flat_opts.pool_threads = 2;
   flat_opts.stream_page_rows = 3;
   QueryService flat_service(engine_, flat_opts);
   ServiceOptions fact_opts = flat_opts;

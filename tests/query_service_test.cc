@@ -1,11 +1,10 @@
 // Concurrency battery for the serving runtime: N client threads hammer one
 // QueryService with a mixed workload (plain SELECT, DISTINCT, LIMIT in the
 // query text, OFFSET/LIMIT pagination, counting and materializing, cached
-// and cache-bypassing, serial and multi-threaded budgets) against all three
-// engine restore paths (fresh build, stream Load, mmap OpenFile). EVERY
-// response must be bit-identical to a serial single-engine reference
-// computed up front — rows, row order, var names, counts. This is the suite
-// the TSan CI job runs to pin the shared pool, the admission state and the
+// and cache-bypassing) against the engine restore paths (fresh build, mmap
+// OpenFile). EVERY response must be bit-identical to a single-engine
+// reference computed up front — rows, row order, var names, counts. This
+// is the suite the TSan CI job runs to pin the admission state and the
 // cache against data races.
 
 #include <gtest/gtest.h>
@@ -64,8 +63,7 @@ std::vector<RequestCase> BuildWorkload(AmberEngine& reference,
 
   std::vector<RequestCase> cases;
   for (const std::string& text : texts) {
-    ExecOptions serial;  // num_threads = 1: THE reference semantics
-    auto full = reference.MaterializeSparql(text, serial);
+    auto full = reference.MaterializeSparql(text, ExecOptions{});
     EXPECT_TRUE(full.ok()) << full.status();
     for (const auto& page : pages) {
       RequestCase c;
@@ -102,13 +100,13 @@ void CheckResponse(const RequestCase& c, const QueryResponse& resp) {
   EXPECT_EQ(resp.total_rows, c.want_total) << c.text;
   // Exact equality: rows AND their order must match the serial reference.
   EXPECT_EQ(resp.rows, c.want_rows)
-      << "rows differ from serial reference: " << c.text << " offset "
+      << "rows differ from reference: " << c.text << " offset "
       << c.options.offset << " limit " << c.options.limit;
 }
 
 /// Runs the battery: `clients` threads, each iterating the whole workload
-/// `rounds` times with per-thread variations of cache bypass and thread
-/// budget. Every response is checked against the serial reference.
+/// `rounds` times with per-thread variations of cache bypass. Every
+/// response is checked against the reference.
 void RunBattery(QueryService& service, const std::vector<RequestCase>& cases,
                 int clients, int rounds) {
   std::atomic<int> failures{0};
@@ -122,9 +120,8 @@ void RunBattery(QueryService& service, const std::vector<RequestCase>& cases,
           const RequestCase& c =
               cases[(i + static_cast<size_t>(t) * 7) % cases.size()];
           RequestOptions options = c.options;
-          // Thread t alternates: bypass cache on odd rounds, vary budget.
+          // Thread t alternates: bypass cache on odd rounds.
           options.bypass_cache = ((t + r) % 2) == 1;
-          options.thread_budget = 1 + ((t + r) % 4);
           auto resp = service.Query(c.text, options);
           if (!resp.ok()) {
             ++failures;
@@ -143,7 +140,6 @@ void RunBattery(QueryService& service, const std::vector<RequestCase>& cases,
 
 ServiceOptions BatteryServiceOptions() {
   ServiceOptions options;
-  options.pool_threads = 4;
   options.max_in_flight = 16;  // admission must not reject the battery
   options.max_queued = 64;
   options.cache_entries = 32;
@@ -203,40 +199,6 @@ TEST(QueryServiceTest, SingleClientMatchesEngineDirectly) {
       EXPECT_EQ(resp->total_rows, direct->rows.size());
     }
   }
-}
-
-TEST(QueryServiceTest, MultiThreadBudgetsShareThePersistentPool) {
-  auto data = testutil::RandomDataset(41, 20, 140, 3);
-  AmberEngine engine = MustBuild(data);
-  ServiceOptions options = BatteryServiceOptions();
-  QueryService service(&engine, options);
-
-  const std::string text =
-      "SELECT ?a ?c WHERE { ?a <urn:p0> ?b . ?b <urn:p1> ?c . }";
-  auto reference = engine.MaterializeSparql(text, {});
-  ASSERT_TRUE(reference.ok());
-
-  // Concurrent clients all requesting parallel execution: helpers for every
-  // request multiplex the one service pool.
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < 10; ++r) {
-        RequestOptions req;
-        req.thread_budget = 4;
-        req.bypass_cache = true;  // force real executions
-        auto resp = service.Query(text, req);
-        ASSERT_TRUE(resp.ok()) << resp.status();
-        EXPECT_EQ(resp->rows, reference->rows);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  ServiceStats stats = service.Stats();
-  EXPECT_GT(stats.exec.tasks_dispatched, 0u);
-  EXPECT_GT(stats.exec.threads_used, 1u);
-  EXPECT_GT(stats.peak_in_flight, 1u);
 }
 
 TEST(QueryServiceTest, ParseErrorsPropagateAsStatus) {
